@@ -570,7 +570,7 @@ SELF_TEST_CASES = [
      'mutable std::shared_mutex tablets_mu_;',
      'mutable OrderedMutex mu_{lockrank::kReplicaServerTablets, '
      '"replica.server.tablets"};'),
-    (check_nondet, 'src/replica/log_tailer.cc',
+    (check_nondet, 'src/replica/replica_server.cc',
      'if (rand() % 100 < jitter) return Status::OK();',
      'if (rnd.Uniform(100) < jitter) return Status::OK();'),
     # The group-commit write path: the append queue's batch window is a

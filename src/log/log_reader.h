@@ -68,9 +68,9 @@ class LogReader {
   };
 
   /// Scans from `start` (default: the whole log). Segments numbered >=
-  /// `limit_segment_exclusive` are skipped — recovery redo passes 1 << 24 to
-  /// exclude compaction outputs (always covered by the compaction's own
-  /// checkpoint).
+  /// `limit_segment_exclusive` are skipped — replay passes
+  /// kLowLaneSegmentLimit to exclude compaction outputs (always covered by
+  /// the compaction's own checkpoint).
   Result<std::unique_ptr<Scanner>> NewScanner(
       LogPosition start = LogPosition{0, 0},
       uint32_t limit_segment_exclusive = ~0u);

@@ -70,8 +70,8 @@ Status LogWriter::Open(uint64_t first_lsn) {
       uint32_t seg = 0;
       if (!ParseSegmentNumber(path, &seg)) continue;
       // The writer owns the low segment lane; compaction outputs live in
-      // high lanes (generation << 24) and are never appended to.
-      if (seg > highest && seg < (1u << 24)) highest = seg;
+      // high lanes and are never appended to.
+      if (seg > highest && seg < kLowLaneSegmentLimit) highest = seg;
     }
   }
   segment_ = highest + 1;

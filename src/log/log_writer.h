@@ -40,6 +40,11 @@ struct LogPosition {
   }
 };
 
+/// The live writer appends to segments numbered below this limit (the low
+/// lane); compaction generation `g` writes segments from
+/// g * kLowLaneSegmentLimit up. Redo and tailing read the low lane only.
+inline constexpr uint32_t kLowLaneSegmentLimit = 1u << 24;
+
 std::string SegmentFileName(const std::string& dir, uint32_t segment);
 /// Inverse of SegmentFileName; false when `path` is not a segment file.
 bool ParseSegmentNumber(const std::string& path, uint32_t* segment);

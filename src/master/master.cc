@@ -611,7 +611,7 @@ Result<std::vector<uint32_t>> Master::AllocateRangeIds(uint32_t table_id,
   }
   std::vector<uint32_t> ids;
   for (int i = 0; i < count; i++) {
-    if (next >= (1u << 20)) {
+    if (next >= tablet::kMaxRangeIds) {
       return Status::InvalidArgument("range id space exhausted");
     }
     ids.push_back(next++);

@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "src/index/blink_tree.h"
-#include "src/index/index_checkpoint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/costs.h"
 #include "src/sim/sim_context.h"
-#include "src/tablet/checkpoint_internal.h"
 #include "src/util/logging.h"
 
 namespace logbase::replica {
@@ -28,8 +26,7 @@ ReplicaServer::ReplicaServer(ReplicaServerOptions options, dfs::Dfs* dfs,
       quota_registry_(coord, options_.node, options_.quota_registry),
       admission_(options_.admission, &quota_registry_),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.node)),
-      buffer_(options_.read_buffer_bytes,
-              tablet::MakePolicy(options_.replacement_policy)) {}
+      buffer_(options_.read_buffer_bytes, tablet::MakeLruPolicy()) {}
 
 Status ReplicaServer::Start() {
   running_.store(true, std::memory_order_release);
@@ -69,7 +66,6 @@ Result<log::LogReader*> ReplicaServer::ReaderForLocked(uint32_t instance) {
 
 Status ReplicaServer::SeedTabletLocked(
     const tablet::TabletDescriptor& descriptor, uint32_t source_instance) {
-  namespace ci = tablet::checkpoint_internal;
   obs::Span span("replica.seed");
 
   auto reader = ReaderForLocked(source_instance);
@@ -80,44 +76,54 @@ Status ReplicaServer::SeedTabletLocked(
   t.source_instance = source_instance;
   t.index = std::unique_ptr<index::MultiVersionIndex>(new index::BlinkTree());
 
-  // Checkpoint seeding mirrors tablet adoption: entries are matched by
-  // range overlap (a replica of a split child seeds from the parent's
-  // checkpoint filtered to the child's range), never by uid.
-  const std::string src_ckpt =
-      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance));
-  log::LogPosition start{0, 0};
-  if (fs_->Exists(ci::MetaPath(src_ckpt))) {
-    ci::CheckpointMeta meta;
-    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs_.get(), src_ckpt, &meta));
-    for (const auto& [d, source] : meta.tablets) {
-      if (!d.Overlaps(descriptor)) continue;
-      std::string idx_path = ci::IndexFilePath(src_ckpt, d.uid());
-      if (!fs_->Exists(idx_path)) continue;
-      LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
-          fs_.get(), idx_path, t.index.get(),
-          [&descriptor](const Slice& key) {
-            return descriptor.Contains(key);
-          }));
-      start = meta.position;
-    }
-  }
+  // Seeding is tablet adoption without taking ownership: the same
+  // range-filtered checkpoint load, then the same replay of the log tail.
+  auto seed = tablet::SeedFromCheckpoint(
+      fs_.get(),
+      tablet::TabletServer::CheckpointDirFor(static_cast<int>(source_instance)),
+      descriptor, t.index.get());
+  if (!seed.ok()) return seed.status();
+  t.max_applied_ts = seed->max_timestamp;
+  t.cursor = std::make_unique<tablet::ReplayCursor>(
+      *reader, seed->position, tablet::RangeFilter(descriptor, t.index.get()));
 
-  uint64_t seeded_max_ts = 0;
-  t.index->VisitAll([&seeded_max_ts](const index::IndexEntry& entry) {
-    seeded_max_ts = std::max(seeded_max_ts, entry.timestamp);
-  });
-
-  t.tailer = std::make_unique<LogTailer>(descriptor, source_instance,
-                                         t.index.get(), *reader, start,
-                                         seeded_max_ts);
   const std::string uid = descriptor.uid();
   // Re-seeding replaces any previous attachment; drop its cached rows so no
   // value from the torn-down index outlives it.
   if (tablets_.count(uid) > 0) buffer_.Clear();
-  tablets_[uid] = std::move(t);
+  ReplicatedTablet& attached = tablets_[uid] = std::move(t);
   // Catch up to the log end right away so the tablet is serveable (and its
   // staleness clock starts) without waiting for the first tick.
-  return tablets_[uid].tailer->Poll(&buffer_, BufferPrefix(uid));
+  return PollLocked(uid, &attached);
+}
+
+Status ReplicaServer::PollLocked(const std::string& uid, ReplicatedTablet* t) {
+  const std::string prefix = BufferPrefix(uid);
+  const uint64_t read_before = t->cursor->records_read();
+  LOGBASE_RETURN_NOT_OK(
+      t->cursor->Poll([&](const tablet::ReplayCursor::Op& op) -> Status {
+        LOGBASE_RETURN_NOT_OK(tablet::ApplyCommitted(op));
+        if (op.is_delete) {
+          buffer_.Invalidate(prefix + op.key);
+        } else {
+          buffer_.Put(prefix + op.key,
+                      tablet::CachedRecord{op.timestamp, op.value});
+        }
+        t->max_applied_ts = std::max(t->max_applied_ts, op.timestamp);
+        return Status::OK();
+      }));
+  static obs::Counter* tailed = ReplicaCounter("replica.tail.records");
+  tailed->Add(t->cursor->records_read() - read_before);
+  // Reaching the end of the log makes this tablet current as of "now" — the
+  // staleness clock restarts even when nothing new was appended.
+  t->last_sync_us = sim::CurrentVirtualTime();
+  return Status::OK();
+}
+
+uint64_t ReplicaServer::WatermarkOf(const ReplicatedTablet& t) {
+  uint64_t min_pending = t.cursor->min_pending_timestamp();
+  if (min_pending == 0) return 0;
+  return std::min(t.max_applied_ts, min_pending - 1);
 }
 
 Status ReplicaServer::AddTablet(const tablet::TabletDescriptor& descriptor,
@@ -158,7 +164,7 @@ Status ReplicaServer::TickTailers() {
           SeedTabletLocked(t.descriptor, t.source_instance));
       continue;  // the re-seed already caught up to the log end
     }
-    LOGBASE_RETURN_NOT_OK(t.tailer->Poll(&buffer_, BufferPrefix(uid)));
+    LOGBASE_RETURN_NOT_OK(PollLocked(uid, &t));
   }
   return Status::OK();
 }
@@ -168,7 +174,7 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
                                           int64_t max_staleness_us,
                                           uint64_t* effective_ts) const {
   if (max_staleness_us > 0) {
-    int64_t staleness = sim::CurrentVirtualTime() - t.tailer->last_sync_us();
+    int64_t staleness = sim::CurrentVirtualTime() - t.last_sync_us;
     if (staleness > max_staleness_us) {
       static obs::Counter* rejected =
           ReplicaCounter("replica.read.staleness_rejected");
@@ -177,7 +183,7 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
     }
   }
   uint64_t requested = as_of == 0 ? ~0ull : as_of;
-  *effective_ts = std::min(requested, t.tailer->Watermark());
+  *effective_ts = std::min(requested, WatermarkOf(t));
   return Status::OK();
 }
 
@@ -226,7 +232,7 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   static obs::HistogramMetric* staleness =
       obs::MetricsRegistry::Global().histogram("replica.read.staleness_us");
   staleness->Observe(static_cast<double>(
-      sim::CurrentVirtualTime() - t.tailer->last_sync_us()));
+      sim::CurrentVirtualTime() - t.last_sync_us));
 
   // The buffer holds the latest applied version; it answers only when that
   // version is already visible at the snapshot.
@@ -247,38 +253,6 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
               tablet::CachedRecord{entry->timestamp, *value});
   served->Add();
   return tablet::ReadValue{entry->timestamp, std::move(*value)};
-}
-
-Result<std::vector<tablet::ReadRow>> ReplicaServer::Scan(
-    const std::string& uid, const Slice& start_key, const Slice& end_key,
-    uint64_t as_of, int64_t max_staleness_us, uint64_t* snapshot_ts) {
-  obs::Span span("replica.scan");
-  if (!running()) return Status::Unavailable("replica server is down");
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(uid, 1, start_key.size() + end_key.size()));
-  MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = it->second;
-
-  uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
-  if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
-
-  std::vector<tablet::ReadRow> rows;
-  for (const index::IndexEntry& entry :
-       t.index->ScanRange(start_key, end_key, effective_ts)) {
-    auto value = FetchValueLocked(&t, entry);
-    if (!value.ok()) return value.status();
-    rows.push_back(
-        tablet::ReadRow{entry.key, entry.timestamp, std::move(*value)});
-  }
-  static obs::Counter* served = ReplicaCounter("replica.read.served");
-  served->Add();
-  return rows;
 }
 
 Result<query::TabletResult> ReplicaServer::ExecuteScan(
@@ -335,7 +309,7 @@ Result<uint64_t> ReplicaServer::Watermark(const std::string& uid) const {
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  return it->second.tailer->Watermark();
+  return WatermarkOf(it->second);
 }
 
 Result<int64_t> ReplicaServer::StalenessUs(const std::string& uid) const {
@@ -344,7 +318,7 @@ Result<int64_t> ReplicaServer::StalenessUs(const std::string& uid) const {
   if (it == tablets_.end()) {
     return Status::NotFound("unknown replica tablet: " + uid);
   }
-  return sim::CurrentVirtualTime() - it->second.tailer->last_sync_us();
+  return sim::CurrentVirtualTime() - it->second.last_sync_us;
 }
 
 }  // namespace logbase::replica

@@ -2,11 +2,12 @@
 // shared log): a ReplicaServer owns no tablets and writes nothing. It seeds
 // each replicated tablet from the owner's checkpoint (the same filtered
 // reload tablet adoption uses, without taking ownership or sealing
-// anything), then tails the owner's log through a per-tablet LogTailer and
-// serves MVCC snapshot reads at min(requested timestamp, applied
-// watermark). Reads are rejected with a retryable Unavailable when the
-// replica's last sync is older than the caller's staleness bound, so
-// clients fall back to the primary through their normal retry policy.
+// anything), then tails the owner's log through the same committed-only
+// replay cursor recovery uses and serves MVCC snapshot reads at
+// min(requested timestamp, applied watermark). Reads are rejected with a
+// retryable Unavailable when the replica's last sync is older than the
+// caller's staleness bound, so clients fall back to the primary through
+// their normal retry policy.
 //
 // Because the log *is* the database, replicas are soft state end to end: a
 // crashed replica rebuilds from the DFS (checkpoint + log tail) and
@@ -27,7 +28,7 @@
 #include "src/index/multiversion_index.h"
 #include "src/log/log_reader.h"
 #include "src/query/executor.h"
-#include "src/replica/log_tailer.h"
+#include "src/sim/sim_context.h"
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/schema.h"
 #include "src/tablet/tablet_server.h"
@@ -43,7 +44,6 @@ struct ReplicaServerOptions {
   /// The machine this replica runs on (network/DFS charging).
   int node = 0;
   size_t read_buffer_bytes = 32ull << 20;
-  std::string replacement_policy = "lru";
   /// Multi-tenant QoS at the replica front door (src/qos/): disabled by
   /// default.
   qos::AdmissionOptions admission;
@@ -72,7 +72,8 @@ class ReplicaServer {
 
   /// Attaches (or re-seeds) a replicated tablet: loads the owner's
   /// checkpointed index entries filtered to the descriptor's range, then
-  /// positions a tailer at the checkpoint and catches up to the log end.
+  /// positions a replay cursor at the checkpoint and catches up to the log
+  /// end.
   Status AddTablet(const tablet::TabletDescriptor& descriptor,
                    uint32_t source_instance);
   /// Detaches a replicated tablet (source migrated/split/reassigned).
@@ -96,17 +97,11 @@ class ReplicaServer {
   Result<tablet::ReadValue> Get(const std::string& uid, const Slice& key,
                                 uint64_t as_of, int64_t max_staleness_us,
                                 uint64_t* snapshot_ts = nullptr);
-  Result<std::vector<tablet::ReadRow>> Scan(const std::string& uid,
-                                            const Slice& start_key,
-                                            const Slice& end_key,
-                                            uint64_t as_of,
-                                            int64_t max_staleness_us,
-                                            uint64_t* snapshot_ts = nullptr);
 
   /// Scan pushdown at the replica (the Taurus-style analytics-over-the-log
   /// tier): evaluates the wire-encoded QueryPlan at
   /// min(`as_of`, applied watermark), under the same staleness gate as
-  /// Get/Scan. Aggregation partials computed here merge bit-identically
+  /// Get. Aggregation partials computed here merge bit-identically
   /// with primary partials — the snapshot bound, not the serving tier,
   /// decides the answer.
   Result<query::TabletResult> ExecuteScan(const std::string& uid,
@@ -132,7 +127,13 @@ class ReplicaServer {
     tablet::TabletDescriptor descriptor;
     uint32_t source_instance = 0;
     std::unique_ptr<index::MultiVersionIndex> index;
-    std::unique_ptr<LogTailer> tailer;
+    /// Replays the source log past the seeded checkpoint.
+    std::unique_ptr<tablet::ReplayCursor> cursor;
+    /// Newest timestamp seeded or applied.
+    uint64_t max_applied_ts = 0;
+    /// Virtual time of the last poll that reached the end of the log (the
+    /// staleness reference point).
+    sim::VirtualTime last_sync_us = 0;
     /// Set when a log pointer no longer resolves (the source compacted the
     /// segment away); the next tick rebuilds from the fresh checkpoint.
     bool needs_reseed = false;
@@ -140,9 +141,22 @@ class ReplicaServer {
 
   Status SeedTabletLocked(const tablet::TabletDescriptor& descriptor,
                           uint32_t source_instance) REQUIRES(mu_);
+  /// Applies every committed write appended since the last poll, to the
+  /// index and to the read buffer (so replica reads of recently written
+  /// rows skip the log fetch).
+  Status PollLocked(const std::string& uid, ReplicatedTablet* t)
+      REQUIRES(mu_);
+  /// The snapshot bound: reads at timestamps <= the watermark see exactly
+  /// what the primary's as-of reads see. Transactional writes carry their
+  /// commit timestamp but become visible only once their COMMIT is tailed,
+  /// so while any is pending the watermark holds back to just below the
+  /// smallest pending timestamp (reads above it could retroactively grow).
+  /// A write that never commits keeps holding it back; clients fall back
+  /// to the primary meanwhile.
+  static uint64_t WatermarkOf(const ReplicatedTablet& t);
   Result<log::LogReader*> ReaderForLocked(uint32_t instance) REQUIRES(mu_);
   std::string BufferPrefix(const std::string& uid) const;
-  /// Staleness gate + snapshot clamp shared by Get and Scan; fills
+  /// Staleness gate + snapshot clamp shared by Get and ExecuteScan; fills
   /// `effective_ts`.
   Status SnapshotBoundLocked(const ReplicatedTablet& t, uint64_t as_of,
                              int64_t max_staleness_us,
@@ -153,7 +167,7 @@ class ReplicaServer {
 
   ReplicaServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;
-  // Internally synchronized; gates Get/Scan/ExecuteScan before mu_.
+  // Internally synchronized; gates Get/ExecuteScan before mu_.
   qos::TenantQuotaRegistry quota_registry_;
   qos::AdmissionController admission_;
   // Set in the constructor; the DFS adapter is internally synchronized.
@@ -163,7 +177,7 @@ class ReplicaServer {
 
   mutable OrderedMutex mu_{lockrank::kReplicaServerTablets,
                            "replica.server.tablets"};
-  // Tablet state (including each LogTailer, which is not internally
+  // Tablet state (including each replay cursor, which is not internally
   // synchronized) is only touched under mu_ — watermark/staleness reads
   // included, so a mid-poll reader cannot observe a torn cursor.
   std::map<std::string, ReplicatedTablet> tablets_ GUARDED_BY(mu_);

@@ -28,6 +28,7 @@ VirtualTime Resource::Acquire(VirtualTime now, VirtualTime service_us) {
     gaps_.erase(it);
     if (begin > gap_start) gaps_[gap_start] = begin;
     if (begin + service_us < gap_end) gaps_[begin + service_us] = gap_end;
+    if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
     return begin + service_us;
   }
   VirtualTime begin = std::max(now, free_at_);

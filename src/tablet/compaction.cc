@@ -8,8 +8,8 @@
 //
 // Crash-safe ordering: write outputs -> swing index pointers -> checkpoint
 // -> delete inputs. Output segments live in a high "generation lane"
-// (gen << 24) so the live writer's low lane is undisturbed, and recovery
-// never redoes them (the checkpoint covers them).
+// (gen * log::kLowLaneSegmentLimit) so the live writer's low lane is
+// undisturbed, and recovery never redoes them (the checkpoint covers them).
 
 #include <algorithm>
 #include <map>
@@ -73,7 +73,7 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   uint32_t max_gen = 0;
   std::vector<uint32_t> inputs;
   for (uint32_t seg : *segments) {
-    uint32_t gen = seg >> 24;
+    uint32_t gen = seg / log::kLowLaneSegmentLimit;
     max_gen = std::max(max_gen, gen);
     if (gen == 0 && seg >= tail_segment) continue;  // live tail
     inputs.push_back(seg);
@@ -116,7 +116,7 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
   // data records are inputs, its commit is in the tail): scan the tail for
   // COMMIT records so such transactions are not mistaken for uncommitted.
   for (uint32_t seg : *segments) {
-    if ((seg >> 24) != 0 || seg < tail_segment) continue;
+    if (seg >= log::kLowLaneSegmentLimit || seg < tail_segment) continue;
     auto scanner = reader->NewSegmentScanner(seg);
     if (!scanner.ok()) return scanner.status();
     for (; (*scanner)->Valid(); (*scanner)->Next()) {
@@ -184,7 +184,7 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
       LOGBASE_RETURN_NOT_OK(out->Close());
     }
     out_seq++;
-    out_segment = (new_gen << 24) | out_seq;
+    out_segment = new_gen * log::kLowLaneSegmentLimit + out_seq;
     out_offset = 0;
     auto file =
         fs->NewWritableFile(log::SegmentFileName(dir, out_segment));
@@ -226,14 +226,12 @@ Status RunCompaction(TabletServer* server, const CompactionOptions& options,
     LOGBASE_RETURN_NOT_OK(out->Close());
   }
 
-  // Swing index pointers to the sorted segments. UpdateIfPresent leaves
-  // concurrently deleted keys deleted and never resurrects anything.
+  // Swing index pointers to the sorted segments, routing each record the
+  // way recovery does (a pre-split parent's records reach the covering
+  // child). UpdateIfPresent leaves concurrently deleted keys deleted and
+  // never resurrects anything.
   for (const KeptRecord& kr : outputs_records) {
-    TabletDescriptor d;
-    d.table_id = kr.record.key.table_id;
-    d.column_group = kr.record.key.tablet_id >> 20;
-    d.range_id = kr.record.key.tablet_id & 0xfffff;
-    Tablet* tablet = server->FindTablet(d.uid());
+    Tablet* tablet = server->RouteRecord(kr.record);
     if (tablet == nullptr) continue;
     Status s = tablet->index()->UpdateIfPresent(
         Slice(kr.record.row.primary_key), kr.record.row.timestamp,

@@ -78,11 +78,6 @@ std::unique_ptr<ReplacementPolicy> MakeFifoPolicy() {
   return std::make_unique<FifoPolicy>();
 }
 
-std::unique_ptr<ReplacementPolicy> MakePolicy(const std::string& name) {
-  if (name == "fifo") return MakeFifoPolicy();
-  return MakeLruPolicy();
-}
-
 ReadBuffer::ReadBuffer(size_t capacity_bytes,
                        std::unique_ptr<ReplacementPolicy> policy)
     : capacity_(capacity_bytes), policy_(std::move(policy)) {}

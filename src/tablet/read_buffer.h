@@ -42,7 +42,6 @@ class ReplacementPolicy {
 std::unique_ptr<ReplacementPolicy> MakeLruPolicy();
 /// First-in-first-out (ablation alternative).
 std::unique_ptr<ReplacementPolicy> MakeFifoPolicy();
-std::unique_ptr<ReplacementPolicy> MakePolicy(const std::string& name);
 
 /// Thread-safe record cache bounded by total bytes.
 class ReadBuffer {

@@ -6,14 +6,13 @@
 // simply redo again.
 //
 // Also implements tablet adoption after *permanent* server failures: the new
-// owner loads the dead server's per-tablet index file and redoes the dead
-// log's tail filtered to the adopted tablet, reading everything from the
-// shared DFS.
+// owner seeds the tablet from the dead server's checkpoint and redoes the
+// dead log's tail filtered to the adopted tablet, reading everything from
+// the shared DFS. Read replicas seed and tail through the same functions.
 
-#include <map>
+#include <algorithm>
 
 #include "src/index/index_checkpoint.h"
-#include "src/log/log_reader.h"
 #include "src/tablet/checkpoint_internal.h"
 #include "src/tablet/tablet_server.h"
 #include "src/util/logging.h"
@@ -22,100 +21,72 @@ namespace logbase::tablet {
 
 namespace {
 
-struct PendingOp {
-  Tablet* tablet;
-  bool is_delete;
-  std::string key;
-  uint64_t timestamp;
-  log::LogPtr ptr;
-};
-
-/// Applies one committed operation to its tablet's index.
-Status ApplyOp(const PendingOp& op) {
-  if (op.is_delete) {
-    return op.tablet->index()->RemoveAllVersions(Slice(op.key));
+/// Replays `redo` to the log end, adding what it read to `stats`.
+Status Redo(ReplayCursor* redo, const ReplayCursor::Apply& apply,
+            RecoveryStats* stats) {
+  Status redone = redo->Poll(apply);
+  if (stats != nullptr) {
+    stats->redo_records += redo->records_read();
+    stats->redo_bytes += redo->bytes_read();
   }
-  return op.tablet->index()->Insert(Slice(op.key), op.timestamp, op.ptr);
-}
-
-/// Redoes `instance`'s log from `from`. `route` maps a record to the tablet
-/// whose index should absorb it (nullptr = not ours, skip).
-Status RedoLog(TabletServer* server, uint32_t instance, log::LogPosition from,
-               const std::function<Tablet*(const log::LogRecord&)>& route,
-               RecoveryStats* stats, uint64_t* max_lsn) {
-  auto reader_or = [&]() -> Result<log::LogReader*> {
-    // Private access via friend functions in this file only.
-    return server->ReaderFor(instance);
-  }();
-  if (!reader_or.ok()) return reader_or.status();
-  // Low-lane segments only: compaction outputs (gen << 24) are fully covered
-  // by the checkpoint the compaction wrote before reclaiming its inputs.
-  auto scanner = (*reader_or)->NewScanner(from, 1u << 24);
-  if (!scanner.ok()) return scanner.status();
-
-  std::map<uint64_t, std::vector<PendingOp>> pending;  // txn id -> ops
-  for (; (*scanner)->Valid(); (*scanner)->Next()) {
-    const log::LogRecord& record = (*scanner)->record();
-    if (record.key.lsn > *max_lsn) *max_lsn = record.key.lsn;
-    if (stats != nullptr) {
-      stats->redo_records++;
-      stats->redo_bytes += (*scanner)->ptr().size;
-    }
-
-    switch (record.type) {
-      case log::LogRecordType::kData: {
-        Tablet* tablet = route(record);
-        if (tablet == nullptr) break;
-        PendingOp op{tablet, false, record.row.primary_key,
-                     record.row.timestamp, (*scanner)->ptr()};
-        if (record.txn_id == 0) {
-          LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-        } else {
-          pending[record.txn_id].push_back(std::move(op));
-        }
-        break;
-      }
-      case log::LogRecordType::kInvalidate: {
-        Tablet* tablet = route(record);
-        if (tablet == nullptr) break;
-        PendingOp op{tablet, true, record.row.primary_key,
-                     record.row.timestamp, (*scanner)->ptr()};
-        if (record.txn_id == 0) {
-          LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-        } else {
-          pending[record.txn_id].push_back(std::move(op));
-        }
-        break;
-      }
-      case log::LogRecordType::kCommit: {
-        auto it = pending.find(record.txn_id);
-        if (it != pending.end()) {
-          for (const PendingOp& op : it->second) {
-            LOGBASE_RETURN_NOT_OK(ApplyOp(op));
-          }
-          pending.erase(it);
-        }
-        break;
-      }
-      case log::LogRecordType::kBatchHeader:
-        // Consumed inside the scanner; never surfaced as a record.
-        break;
-    }
-  }
-  // Entries still pending lack a COMMIT record: the transaction never
-  // committed, so its writes stay invisible (and compaction reclaims them).
-  return (*scanner)->status();
-}
-
-TabletDescriptor DescriptorFromRecord(const log::LogRecord& record) {
-  TabletDescriptor d;
-  d.table_id = record.key.table_id;
-  d.column_group = record.key.tablet_id >> 20;
-  d.range_id = record.key.tablet_id & 0xfffff;
-  return d;
+  return redone;
 }
 
 }  // namespace
+
+Status ApplyCommitted(const ReplayCursor::Op& op) {
+  if (op.is_delete) return op.target->RemoveAllVersions(Slice(op.key));
+  return op.target->Insert(Slice(op.key), op.timestamp, op.ptr);
+}
+
+ReplayCursor::Filter RangeFilter(const TabletDescriptor& descriptor,
+                                 index::MultiVersionIndex* dest) {
+  return [descriptor, dest](const log::LogRecord& record)
+             -> index::MultiVersionIndex* {
+    TabletDescriptor named = TabletDescriptor::FromPackedId(
+        record.key.table_id, record.key.tablet_id);
+    if (named.table_id != descriptor.table_id ||
+        named.column_group != descriptor.column_group ||
+        !descriptor.Contains(Slice(record.row.primary_key))) {
+      return nullptr;
+    }
+    return dest;
+  };
+}
+
+Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
+                                          const std::string& ckpt_dir,
+                                          const TabletDescriptor& descriptor,
+                                          index::MultiVersionIndex* dest,
+                                          RecoveryStats* stats) {
+  namespace ci = checkpoint_internal;
+  CheckpointSeed seed;
+  if (fs->Exists(ci::MetaPath(ckpt_dir))) {
+    ci::CheckpointMeta meta;
+    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs, ckpt_dir, &meta));
+    // Matched by range overlap, never by uid: a split child loads its half
+    // of the parent's checkpointed index.
+    for (const auto& [d, source] : meta.tablets) {
+      if (!d.Overlaps(descriptor)) continue;
+      std::string idx_path = ci::IndexFilePath(ckpt_dir, d.uid());
+      if (!fs->Exists(idx_path)) continue;
+      uint64_t before = dest->num_entries();
+      LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
+          fs, idx_path, dest, [&descriptor](const Slice& key) {
+            return descriptor.Contains(key);
+          }));
+      seed.position = meta.position;
+      if (stats != nullptr) {
+        stats->loaded_checkpoint = true;
+        stats->checkpoint_entries += dest->num_entries() - before;
+      }
+    }
+  }
+  dest->VisitAll([&seed](const index::IndexEntry& entry) {
+    seed.max_timestamp = std::max(seed.max_timestamp, entry.timestamp);
+  });
+  return seed;
+}
 
 Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
   namespace ci = checkpoint_internal;
@@ -150,85 +121,54 @@ Status RunRecovery(TabletServer* server, RecoveryStats* stats) {
   // Redo the tail of our own log. Records of tablets we have not seen yet
   // (no checkpoint — e.g. first crash before any checkpoint) recreate their
   // tablets on the fly; the master's later OpenTablet is a no-op.
-  uint64_t max_lsn = 0;
-  auto route = [server](const log::LogRecord& record) -> Tablet* {
-    TabletDescriptor d = DescriptorFromRecord(record);
-    Tablet* tablet = server->FindTablet(d.uid());
-    if (tablet != nullptr) return tablet;
-    // After a split the parent's uid routes nowhere, but a hosted child's
-    // range covers the key: its records belong to that child.
-    tablet = server->FindTabletCovering(d.table_id, d.column_group,
-                                        Slice(record.row.primary_key));
-    if (tablet != nullptr) return tablet;
-    if (!server->OpenTablet(d).ok()) return nullptr;
-    return server->FindTablet(d.uid());
-  };
-  LOGBASE_RETURN_NOT_OK(
-      RedoLog(server, server->server_id(), start, route, stats, &max_lsn));
+  auto reader = server->ReaderFor(server->server_id());
+  if (!reader.ok()) return reader.status();
+  ReplayCursor redo(
+      *reader, start,
+      [server](const log::LogRecord& record) -> index::MultiVersionIndex* {
+        Tablet* tablet = server->RouteRecord(record);
+        if (tablet != nullptr) return tablet->index();
+        TabletDescriptor d = TabletDescriptor::FromPackedId(
+            record.key.table_id, record.key.tablet_id);
+        if (!server->OpenTablet(d).ok()) return nullptr;
+        return server->FindTablet(d.uid())->index();
+      });
+  LOGBASE_RETURN_NOT_OK(Redo(&redo, ApplyCommitted, stats));
 
   LOGBASE_LOG(kInfo, "server %d recovered: redo from segment %u",
               server->server_id(), start.segment);
-  return server->writer_->Open(std::max(next_lsn, max_lsn + 1));
+  return server->writer_->Open(std::max(next_lsn, redo.max_lsn() + 1));
 }
 
 Status TabletServer::AdoptTablet(const TabletDescriptor& descriptor,
                                  uint32_t source_instance,
                                  RecoveryStats* stats) {
-  namespace ci = checkpoint_internal;
   LOGBASE_RETURN_NOT_OK(OpenTablet(descriptor));
   Tablet* tablet = FindTablet(descriptor.uid());
   tablet->set_source_instance(source_instance);
 
-  // Checkpoint entries are matched by *range overlap*, not uid: a split
-  // child adopts its half of the parent's checkpointed index under the
-  // parent's uid, filtered to the child's key range.
-  const std::string src_ckpt = CheckpointDirFor(source_instance);
-  log::LogPosition start{0, 0};
-  if (fs_->Exists(ci::MetaPath(src_ckpt))) {
-    ci::CheckpointMeta meta;
-    LOGBASE_RETURN_NOT_OK(ci::LoadMeta(fs_.get(), src_ckpt, &meta));
-    for (const auto& [d, source] : meta.tablets) {
-      if (!d.Overlaps(descriptor)) continue;
-      std::string idx_path = ci::IndexFilePath(src_ckpt, d.uid());
-      if (!fs_->Exists(idx_path)) continue;
-      uint64_t before = tablet->index()->num_entries();
-      LOGBASE_RETURN_NOT_OK(index::LoadIndexCheckpointFiltered(
-          fs_.get(), idx_path, tablet->index(),
-          [&descriptor](const Slice& key) {
-            return descriptor.Contains(key);
-          }));
-      start = meta.position;
-      if (stats != nullptr) {
-        stats->loaded_checkpoint = true;
-        stats->checkpoint_entries += tablet->index()->num_entries() - before;
-      }
-    }
-  }
+  auto seed = SeedFromCheckpoint(fs_.get(), CheckpointDirFor(source_instance),
+                                 descriptor, tablet->index(), stats);
+  if (!seed.ok()) return seed.status();
 
   // Redo the source's log tail, filtered to the adopted range (the paper's
-  // log split: one shared log, per-tablet extraction). Filtering is by key
-  // containment so records logged under a pre-split parent's packed id
-  // still reach the child that now covers them.
-  uint64_t max_lsn = 0;
-  auto route = [tablet, &descriptor](const log::LogRecord& record)
-      -> Tablet* {
-    if (record.key.table_id != descriptor.table_id ||
-        (record.key.tablet_id >> 20) != descriptor.column_group) {
-      return nullptr;
-    }
-    if (!descriptor.Contains(Slice(record.row.primary_key))) return nullptr;
-    return tablet;
-  };
-  LOGBASE_RETURN_NOT_OK(
-      RedoLog(this, source_instance, start, route, stats, &max_lsn));
+  // log split: one shared log, per-tablet extraction).
+  auto reader = ReaderFor(source_instance);
+  if (!reader.ok()) return reader.status();
+  ReplayCursor redo(*reader, seed->position,
+                    RangeFilter(descriptor, tablet->index()));
+  uint64_t max_ts = seed->max_timestamp;
+  LOGBASE_RETURN_NOT_OK(Redo(
+      &redo,
+      [&max_ts](const ReplayCursor::Op& op) {
+        max_ts = std::max(max_ts, op.timestamp);
+        return ApplyCommitted(op);
+      },
+      stats));
 
   // The dead owner drew timestamp blocks this server has not seen; writes
   // issued from a stale local block would sort below the adopted versions
   // and be invisible to latest-reads (a lost acknowledged write).
-  uint64_t max_ts = 0;
-  tablet->index()->VisitAll([&max_ts](const index::IndexEntry& entry) {
-    if (entry.timestamp > max_ts) max_ts = entry.timestamp;
-  });
   AdvanceTimestampsBeyond(max_ts);
 
   LOGBASE_LOG(kInfo, "server %d adopted tablet %s from instance %u",

@@ -44,6 +44,11 @@ struct TableSchema {
   }
 };
 
+/// LogKey.tablet_id packs a tablet's column group above its range id, which
+/// takes the low kRangeIdBits bits; range ids stay below kMaxRangeIds.
+inline constexpr uint32_t kRangeIdBits = 20;
+inline constexpr uint32_t kMaxRangeIds = 1u << kRangeIdBits;
+
 /// One tablet: a key range of one column group of one table.
 struct TabletDescriptor {
   uint32_t table_id = 0;
@@ -54,7 +59,19 @@ struct TabletDescriptor {
   std::string end_key;    // exclusive; empty = unbounded
 
   /// Packed id recorded in LogKey.tablet_id (column group in the high bits).
-  uint32_t packed_id() const { return (column_group << 20) | range_id; }
+  uint32_t packed_id() const {
+    return (column_group << kRangeIdBits) | range_id;
+  }
+
+  /// The tablet a log record's (table id, packed id) names; the key range
+  /// is not recorded, so it is left unbounded.
+  static TabletDescriptor FromPackedId(uint32_t table_id, uint32_t packed) {
+    TabletDescriptor d;
+    d.table_id = table_id;
+    d.column_group = packed >> kRangeIdBits;
+    d.range_id = packed & (kMaxRangeIds - 1);
+    return d;
+  }
 
   /// Stable identifier used for maps, checkpoint file names and routing.
   std::string uid() const {

@@ -54,8 +54,7 @@ TabletServer::TabletServer(TabletServerOptions options, dfs::Dfs* dfs,
       quota_registry_(coord, options_.server_id, options_.quota_registry),
       admission_(options_.admission, &quota_registry_),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.server_id)),
-      buffer_(options_.read_buffer_bytes,
-              MakePolicy(options_.replacement_policy)) {
+      buffer_(options_.read_buffer_bytes, MakeLruPolicy()) {
   writer_ = std::make_unique<log::LogWriter>(
       fs_.get(), log_dir(), options_.server_id, options_.segment_bytes,
       options_.group_commit);
@@ -241,6 +240,15 @@ Tablet* TabletServer::FindTabletCovering(uint32_t table_id,
     if (d.Contains(key)) return tablet.get();
   }
   return nullptr;
+}
+
+Tablet* TabletServer::RouteRecord(const log::LogRecord& record) {
+  TabletDescriptor d =
+      TabletDescriptor::FromPackedId(record.key.table_id, record.key.tablet_id);
+  Tablet* tablet = FindTablet(d.uid());
+  if (tablet != nullptr) return tablet;
+  return FindTabletCovering(d.table_id, d.column_group,
+                            Slice(record.row.primary_key));
 }
 
 Status TabletServer::SealTablet(const std::string& uid) {
@@ -712,6 +720,10 @@ Status TabletServer::PublishWrite(const std::string& tablet_uid,
   }
   tablet->RecordWrite(key.size() + value.size());
   LOGBASE_RETURN_NOT_OK(tablet->index()->Insert(key, timestamp, ptr));
+  // The commit timestamp came from the coordinator, not from this server's
+  // cached block: later auto-commit writes must draw above it or they would
+  // sort below the transaction's version and stay invisible.
+  AdvanceTimestampsBeyond(timestamp);
   tablet->RecordUpdate();
   buffer_.Put(BufferKey(tablet_uid, key),
               CachedRecord{timestamp, value.ToString()});

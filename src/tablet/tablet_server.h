@@ -20,6 +20,7 @@
 #include "src/index/multiversion_index.h"
 #include "src/log/log_reader.h"
 #include "src/log/log_writer.h"
+#include "src/log/tail_cursor.h"
 #include "src/lsm/lsm_tree.h"
 #include "src/qos/admission.h"
 #include "src/qos/quota_registry.h"
@@ -38,7 +39,6 @@ struct TabletServerOptions {
   uint64_t segment_bytes = 64ull << 20;
   /// 0 disables the read buffer (it is an optional component, §3.6.1).
   size_t read_buffer_bytes = 0;
-  std::string replacement_policy = "lru";
   /// Persist indexes after this many updates (0 = only explicit
   /// checkpoints), §3.6.1.
   uint64_t checkpoint_update_threshold = 0;
@@ -85,6 +85,36 @@ struct RecoveryStats {
   uint64_t redo_records = 0;
   uint64_t redo_bytes = 0;
 };
+
+/// Committed-only log replay into multiversion indexes: recovery redo,
+/// tablet adoption and read-replica tailing all rebuild through it.
+using ReplayCursor = log::TailCursor<index::MultiVersionIndex>;
+
+/// Applies one committed write to the index the cursor's filter chose.
+Status ApplyCommitted(const ReplayCursor::Op& op);
+
+/// A replay filter sending `descriptor`'s records to `dest`: same table and
+/// column group, key in range. Ranges, not range ids, decide, so records
+/// logged under a pre-split parent's id reach the child covering them.
+ReplayCursor::Filter RangeFilter(const TabletDescriptor& descriptor,
+                                 index::MultiVersionIndex* dest);
+
+/// Where a checkpoint-seeded index resumes.
+struct CheckpointSeed {
+  log::LogPosition position;   // replay the source log from here
+  uint64_t max_timestamp = 0;  // newest version in the index after seeding
+};
+
+/// Loads `descriptor`'s share of the checkpoint in `ckpt_dir` into `dest`:
+/// the index file of every checkpointed tablet overlapping the descriptor,
+/// filtered by key containment (a split child loads its half of the
+/// parent's file). The position is the checkpoint's once any file loaded,
+/// else the log start. Tablet adoption and replica seeding both start here.
+Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
+                                          const std::string& ckpt_dir,
+                                          const TabletDescriptor& descriptor,
+                                          index::MultiVersionIndex* dest,
+                                          RecoveryStats* stats = nullptr);
 
 /// An in-flight asynchronous write: the log ticket plus everything needed
 /// to publish the write once its group-commit batch is durable. Obtained
@@ -266,6 +296,10 @@ class TabletServer {
   /// unless their uid was probed directly (they are recovery placeholders).
   Tablet* FindTabletCovering(uint32_t table_id, uint32_t column_group,
                              const Slice& key);
+  /// The hosted tablet a log record belongs to: the one its packed id
+  /// names, else the one covering its key (FindTabletCovering); nullptr
+  /// when neither is hosted. Recovery and compaction route through it.
+  Tablet* RouteRecord(const log::LogRecord& record);
   /// Reader over a log instance's segments (own or adopted), created
   /// lazily; exposed for recovery, compaction and diagnostics.
   Result<log::LogReader*> ReaderFor(uint32_t instance);
@@ -299,9 +333,10 @@ class TabletServer {
   uint64_t NextLocalTimestamp();
   /// Discards the cached timestamp block if it does not extend past `ts`.
   /// Tablet adoption must call this with the adopted history's newest write
-  /// timestamp: the dead owner may have drawn later blocks than the block
-  /// this server is still consuming, and issuing a smaller timestamp would
-  /// make new writes invisible behind the adopted versions.
+  /// timestamp (the dead owner may have drawn later blocks than the block
+  /// this server is still consuming), and transactional publication with
+  /// the commit timestamp: issuing a smaller timestamp would make new
+  /// writes invisible behind those versions.
   void AdvanceTimestampsBeyond(uint64_t ts);
 
   TabletServerOptions options_;  // fixed after construction

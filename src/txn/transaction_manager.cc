@@ -121,13 +121,15 @@ Status TransactionManager::ValidateLocked(Transaction* txn) {
 
 Status TransactionManager::PersistAndPublish(Transaction* txn,
                                              log::AckMode ack) {
-  // Group writes per participant server.
+  // Group writes per participant server, keyed by server id so the 2PC
+  // append order is the same on every run.
   struct Participant {
     tablet::TabletServer* server;
     std::vector<log::LogRecord> records;
     std::vector<const TxnCell*> cells;  // parallel to records
+    std::vector<log::LogPtr> ptrs;      // parallel to records, once appended
   };
-  std::map<tablet::TabletServer*, Participant> participants;
+  std::map<int, Participant> participants;
 
   for (const auto& [cell, write] : txn->writes()) {
     tablet::TabletServer* server = resolver_(cell.tablet_uid);
@@ -135,7 +137,7 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
     tablet::Tablet* tablet = server->FindTablet(cell.tablet_uid);
     if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-    Participant& p = participants[server];
+    Participant& p = participants[server->server_id()];
     p.server = server;
     log::LogRecord record;
     record.type = write.is_delete ? log::LogRecordType::kInvalidate
@@ -160,7 +162,6 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
     return commit;
   };
 
-  std::map<tablet::TabletServer*, std::vector<log::LogPtr>> ptrs;
   if (participants.size() == 1) {
     // Fast path: data + COMMIT in one group-committed append (§3.7.2).
     Participant& p = participants.begin()->second;
@@ -169,38 +170,35 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
     if (!appended.ok()) return appended.status();
     appended->pop_back();  // drop the commit record's ptr
     p.records.pop_back();
-    ptrs[p.server] = std::move(*appended);
+    p.ptrs = std::move(*appended);
   } else {
     // 2PC: phase one writes the data records everywhere...
-    for (auto& [server, p] : participants) {
-      auto appended = server->AppendBatch(&p.records, ack);
+    for (auto& [server_id, p] : participants) {
+      auto appended = p.server->AppendBatch(&p.records, ack);
       if (!appended.ok()) return appended.status();  // invisible: no COMMIT
-      ptrs[server] = std::move(*appended);
+      p.ptrs = std::move(*appended);
     }
     // ...phase two makes the transaction durable-visible everywhere.
-    for (auto& [server, p] : participants) {
+    for (auto& [server_id, p] : participants) {
       std::vector<log::LogRecord> commit_batch;
       commit_batch.push_back(make_commit_record());
-      std::vector<log::LogPtr> commit_ptrs;
-      auto appended = server->AppendBatch(&commit_batch, ack);
+      auto appended = p.server->AppendBatch(&commit_batch, ack);
       if (!appended.ok()) return appended.status();
-      (void)commit_ptrs;
     }
   }
 
   // Publication: only now do the writes become visible to reads.
-  for (auto& [server, p] : participants) {
-    const std::vector<log::LogPtr>& server_ptrs = ptrs[server];
+  for (auto& [server_id, p] : participants) {
     for (size_t i = 0; i < p.cells.size(); i++) {
       const TxnCell& cell = *p.cells[i];
       const BufferedWrite& write = txn->writes().at(cell);
       if (write.is_delete) {
         LOGBASE_RETURN_NOT_OK(
-            server->PublishDelete(cell.tablet_uid, Slice(cell.key)));
+            p.server->PublishDelete(cell.tablet_uid, Slice(cell.key)));
       } else {
-        LOGBASE_RETURN_NOT_OK(server->PublishWrite(
+        LOGBASE_RETURN_NOT_OK(p.server->PublishWrite(
             cell.tablet_uid, Slice(cell.key), txn->commit_ts(),
-            server_ptrs[i], Slice(write.value)));
+            p.ptrs[i], Slice(write.value)));
       }
     }
   }

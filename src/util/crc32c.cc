@@ -26,12 +26,12 @@ constexpr Table kTable;
 }  // namespace
 
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
-  uint32_t crc = init_crc ^ 0xffffffffu;
+  uint32_t crc = ~init_crc;
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; i++) {
     crc = kTable.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
-  return crc ^ 0xffffffffu;
+  return ~crc;
 }
 
 }  // namespace logbase::crc32c

@@ -15,6 +15,7 @@
 #include "src/cluster/mini_cluster.h"
 #include "src/fault/nemesis.h"
 #include "src/log/log_record.h"
+#include "src/query/plan.h"
 #include "src/sim/sim_context.h"
 
 namespace logbase::replica {
@@ -282,15 +283,26 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
 
   // Restart reseeds from the DFS (checkpoint + log tail) and converges: the
   // replica's snapshot at its watermark is byte-identical to the primary's
-  // as-of read at the same timestamp.
+  // as-of read at the same timestamp. A match-all plan (full range, empty
+  // projection) ships every visible row with its raw stored value.
   ASSERT_TRUE(cluster.RestartReplica(0).ok());
   ASSERT_TRUE(cluster.TickReplicas().ok());
   ReplicaServer* rep = cluster.replica(0);
   uint64_t snapshot_ts = 0;
-  auto replica_rows = rep->Scan(uid, Slice(""), Slice(""), /*as_of=*/0,
-                                /*max_staleness_us=*/0, &snapshot_ts);
-  ASSERT_TRUE(replica_rows.ok()) << replica_rows.status().ToString();
+  auto result = rep->ExecuteScan(uid, Slice(query::QueryPlan{}.Encode()),
+                                 /*as_of=*/0, /*max_staleness_us=*/0, {},
+                                 &snapshot_ts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(snapshot_ts, 0u);
+  std::vector<tablet::ReadRow> replica_rows;
+  for (const query::ColumnBatch& batch : result->batches) {
+    const query::BatchColumn* raw = batch.Find(query::kRawValueColumn);
+    ASSERT_NE(raw, nullptr);
+    for (size_t i = 0; i < batch.NumRows(); i++) {
+      replica_rows.push_back(tablet::ReadRow{
+          batch.keys[i], batch.timestamps[i], raw->cells[i]});
+    }
+  }
 
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
@@ -298,12 +310,12 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
                           ->Scan(uid, Slice(""), Slice(""), snapshot_ts);
   ASSERT_TRUE(primary_rows.ok()) << primary_rows.status().ToString();
 
-  ASSERT_EQ(replica_rows->size(), primary_rows->size());
-  EXPECT_FALSE(replica_rows->empty());
-  for (size_t i = 0; i < replica_rows->size(); i++) {
-    EXPECT_EQ((*replica_rows)[i].key, (*primary_rows)[i].key);
-    EXPECT_EQ((*replica_rows)[i].timestamp, (*primary_rows)[i].timestamp);
-    EXPECT_EQ((*replica_rows)[i].value, (*primary_rows)[i].value);
+  ASSERT_EQ(replica_rows.size(), primary_rows->size());
+  EXPECT_FALSE(replica_rows.empty());
+  for (size_t i = 0; i < replica_rows.size(); i++) {
+    EXPECT_EQ(replica_rows[i].key, (*primary_rows)[i].key);
+    EXPECT_EQ(replica_rows[i].timestamp, (*primary_rows)[i].timestamp);
+    EXPECT_EQ(replica_rows[i].value, (*primary_rows)[i].value);
   }
 }
 

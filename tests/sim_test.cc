@@ -73,6 +73,19 @@ TEST(ResourceTest, FillsIdleGapsBeforeFutureReservations) {
   EXPECT_EQ(r.total_busy_us(), 1311);
 }
 
+// Gap tracking is bounded on both paths that create gaps: queueing behind a
+// future reservation and splitting a gap in two. Wall cost per Acquire scans
+// the gaps, so an unbounded split path made it grow through a phase.
+TEST(ResourceTest, SplittingAGapKeepsTheGapCap) {
+  Resource r("nic");
+  // 64 future-start reservations leave 64 gaps: [0,10), [11,20), ...
+  for (int i = 1; i <= 64; i++) r.Acquire(i * 10, 1);
+  // Landing mid-gap splits [631,640) in two: 65 gaps, so the oldest goes.
+  EXPECT_EQ(r.Acquire(635, 1), 636);
+  // [0,10) was dropped; the earliest remaining fit is [11,20).
+  EXPECT_EQ(r.Acquire(0, 5), 16);
+}
+
 TEST(ResourceTest, ResetClearsState) {
   Resource r("x");
   r.Acquire(0, 50);

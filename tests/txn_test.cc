@@ -374,6 +374,28 @@ TEST(ClientTxnTest, DroppedHandleAutoAborts) {
             "second");
 }
 
+// An auto-commit write after a committed transaction must be the visible
+// version. The transaction's commit timestamp comes from the coordinator,
+// above the timestamp block the tablet server had already reserved; a Put
+// drawn from that block sorted below the transaction's version.
+TEST(ClientTxnTest, PutAfterTxnIsVisible) {
+  cluster::MiniClusterOptions options;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.master()->CreateTable("t", {"c"}, {{"c"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, "k", "v1", {}).ok());
+
+  client::Txn txn = client->BeginTxn();
+  ASSERT_TRUE(txn.Write("t", 0, "k", "v2").ok());
+  ASSERT_TRUE(txn.Commit().ok());
+
+  ASSERT_TRUE(client->Put("t", 0, "k", "v3", {}).ok());
+  auto latest = client->Get("t", 0, "k", client::ReadOptions{});
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->value(), "v3");
+}
+
 // Moving a Txn transfers abort responsibility: the moved-from handle is
 // inert and only the destination aborts on drop.
 TEST(ClientTxnTest, MoveTransfersOwnership) {
