@@ -143,9 +143,21 @@ inline void PrintComponentBreakdown(
               static_cast<unsigned long long>(
                   m.CounterValue("index.latch.retries")));
 
+  // Sieved range reads: the gap bytes read through (the sieve's overhead)
+  // sit next to the swept bytes, and records per sweep (its saving: one
+  // positioning per sweep instead of one per record) follow.
   hist_line("dfs.pread", "dfs.pread.us");
-  std::printf("  bytes=%llu\n", static_cast<unsigned long long>(
-                                    m.CounterValue("dfs.pread.bytes")));
+  std::printf("  bytes=%llu  bridged=%llu\n",
+              static_cast<unsigned long long>(
+                  m.CounterValue("dfs.pread.bytes")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("dfs.pread.bridged_bytes")));
+  const obs::MetricPoint* sweep = m.Find("log.read.sweep_records");
+  if (sweep != nullptr && sweep->count > 0) {
+    std::printf("  %-12s sweeps=%-10llu records_avg=%.1f  records_max=%.0f\n",
+                "log.sweep", static_cast<unsigned long long>(sweep->count),
+                sweep->avg, sweep->max);
+  }
 
   uint64_t rb_hits = m.CounterValue("tablet.read_buffer.hits");
   uint64_t rb_misses = m.CounterValue("tablet.read_buffer.misses");

@@ -14,6 +14,10 @@
 #                                    # -Wthread-safety as errors plus the
 #                                    # tsa_negative harness (skips with a
 #                                    # notice when clang is not installed)
+#   scripts/check.sh --perf          # the repository benchmark's own
+#                                    # self-tests (perfbench/run.py
+#                                    # --self-test: builds into
+#                                    # .bench_build/, runs the unit tests)
 #   scripts/check.sh --bench [names] # build the default preset, run the
 #                                    # named benches (all bench_* when none
 #                                    # given) and aggregate their --json
@@ -39,6 +43,7 @@ presets=()
 lint_only=0
 chaos=0
 tsa=0
+perf=0
 bench=0
 bench_names=()
 for arg in "$@"; do
@@ -53,20 +58,21 @@ for arg in "$@"; do
     --tsan) presets+=(tsan) ;;
     --chaos) chaos=1 ;;
     --tsa) tsa=1 ;;
+    --perf) perf=1 ;;
     --bench) bench=1 ;;
     *) presets+=("${arg}") ;;
   esac
 done
 
 if [ "${lint_only}" -eq 1 ] && [ ${#presets[@]} -eq 0 ] \
-    && [ "${chaos}" -eq 0 ] && [ "${tsa}" -eq 0 ] \
+    && [ "${chaos}" -eq 0 ] && [ "${tsa}" -eq 0 ] && [ "${perf}" -eq 0 ] \
     && [ "${bench}" -eq 0 ]; then
   run_lint
   exit 0
 fi
 
 if [ ${#presets[@]} -eq 0 ] && [ "${chaos}" -eq 0 ] && [ "${tsa}" -eq 0 ] \
-    && [ "${bench}" -eq 0 ]; then
+    && [ "${perf}" -eq 0 ] && [ "${bench}" -eq 0 ]; then
   presets=(default asan)
 fi
 
@@ -132,6 +138,15 @@ if [ "${chaos}" -eq 1 ]; then
     fi
   done
   presets+=(chaos)
+fi
+
+if [ "${perf}" -eq 1 ]; then
+  # The repository benchmark's self-tests (seed determinism, percentile
+  # rule, span self-time, oracle) — perfbench/ builds them with its own
+  # CMakeLists into .bench_build/.
+  echo "==== perf: perfbench self-test ===="
+  python3 perfbench/run.py --self-test
+  presets+=(perf)
 fi
 
 if [ "${bench}" -eq 1 ]; then

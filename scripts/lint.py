@@ -355,6 +355,16 @@ GUARDED_BY_ALLOWLIST = {
     # Set once via set_tenant during client setup, then read thread-
     # ambiently (qos::TenantScope) on every operation.
     'src/client/client.h#tenant_',
+    # DfsWritableFile state: a WritableFile has exactly one writer by
+    # contract. The OrderedMutex in src/dfs/dfs.cc belongs to
+    # DfsRandomAccessFile (shared by concurrent readers), not to the writer.
+    'src/dfs/dfs.cc#buffer_',
+    'src/dfs/dfs.cc#policy_',
+    'src/dfs/dfs.cc#inflight_acks_',
+    'src/dfs/dfs.cc#current_',
+    'src/dfs/dfs.cc#block_open_',
+    'src/dfs/dfs.cc#block_fill_',
+    'src/dfs/dfs.cc#size_',
     # Internally synchronized members (their own ranked locks or latch
     # protocol); the owning class's mutex does not cover them.
     # The QoS front door: TenantQuotaRegistry carries kQosRegistry,

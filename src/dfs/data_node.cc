@@ -13,6 +13,12 @@ obs::Counter* PreadBytes() {
   return c;
 }
 
+obs::Counter* BridgedBytes() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().counter("dfs.pread.bridged_bytes");
+  return c;
+}
+
 obs::Counter* WriteBytes() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("dfs.write.bytes");
@@ -66,21 +72,60 @@ Status DataNode::WriteBlock(BlockId block, uint64_t offset,
 
 Result<std::string> DataNode::ReadBlock(BlockId block, uint64_t offset,
                                         uint64_t n) const {
+  auto pieces = ReadBlockRanges(block, {ReadRange{offset, n}});
+  if (!pieces.ok()) return pieces.status();
+  return std::move((*pieces)[0]);
+}
+
+Result<std::vector<std::string>> DataNode::ReadBlockRanges(
+    BlockId block, const std::vector<ReadRange>& ranges) const {
   obs::Span span("dfs.pread");
   if (!alive()) return Status::Unavailable("data node is down");
   if (ConsumeInjectedError()) return Status::IOError("injected disk fault");
-  std::string out;
+  std::vector<std::string> out(ranges.size());
   {
     MutexLock l(mu_);
     auto it = blocks_.find(block);
     if (it == blocks_.end()) return Status::NotFound("block not on this node");
     const std::string& stored = it->second;
-    if (offset < stored.size()) {
-      out = stored.substr(offset, std::min<uint64_t>(n, stored.size() - offset));
+    for (size_t i = 0; i < ranges.size(); i++) {
+      if (ranges[i].offset < stored.size()) {
+        out[i] = stored.substr(
+            ranges[i].offset,
+            std::min<uint64_t>(ranges[i].n, stored.size() - ranges[i].offset));
+      }
     }
   }
-  disk_.Access(block, offset, out.size());
-  PreadBytes()->Add(out.size());
+  // Sweep: extend the current disk access over the next range while the
+  // gap to it stays below the seek-equivalent; otherwise charge the access
+  // and seek to start a new one.
+  const uint64_t bridge_limit = disk_.seek_equivalent_bytes();
+  uint64_t swept = 0;
+  uint64_t bridged = 0;
+  uint64_t run_begin = 0;
+  uint64_t run_end = 0;
+  bool open = false;
+  auto charge_run = [&] {
+    disk_.Access(block, run_begin, run_end - run_begin);
+    swept += run_end - run_begin;
+  };
+  for (size_t i = 0; i < ranges.size(); i++) {
+    if (out[i].empty()) continue;
+    const uint64_t begin = ranges[i].offset;
+    const uint64_t end = begin + out[i].size();
+    if (open && begin < run_end + bridge_limit) {
+      if (begin > run_end) bridged += begin - run_end;
+      run_end = std::max(run_end, end);
+      continue;
+    }
+    if (open) charge_run();
+    run_begin = begin;
+    run_end = end;
+    open = true;
+  }
+  if (open) charge_run();
+  PreadBytes()->Add(swept);
+  BridgedBytes()->Add(bridged);
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/sim/disk_model.h"
+#include "src/util/io.h"
 #include "src/util/result.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
@@ -56,9 +57,19 @@ class DataNode {
   Status StoreBlockData(BlockId block, uint64_t offset, const Slice& data);
 
   /// Reads up to n bytes from the block at `offset`; short reads at the end
-  /// of the block are not an error. Charges a disk access.
+  /// of the block are not an error. Charges a disk access unless nothing
+  /// was read (the one-range case of ReadBlockRanges).
   Result<std::string> ReadBlock(BlockId block, uint64_t offset,
                                 uint64_t n) const;
+
+  /// Sieved read of several ranges of one block (`ranges` sorted by
+  /// offset): one result per range, each with ReadBlock's short-at-end
+  /// semantics. Consecutive ranges whose gap is below the disk's
+  /// seek_equivalent_bytes() share one disk access spanning both (reading
+  /// through the gap is cheaper than seeking over it); only the requested
+  /// bytes are returned. An injected I/O error fails the whole call.
+  Result<std::vector<std::string>> ReadBlockRanges(
+      BlockId block, const std::vector<ReadRange>& ranges) const;
 
   Status DeleteBlock(BlockId block);
   bool HasBlock(BlockId block) const;

@@ -225,7 +225,7 @@ class DfsWritableFile : public WritableFile {
     return dfs_->name_node_.SealBlock(path_, current_.id, block_fill_);
   }
 
-  Dfs* dfs_;
+  Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
   fault::RetryPolicy retry_{
@@ -249,10 +249,11 @@ class DfsRandomAccessFile : public RandomAccessFile {
       : dfs_(dfs), path_(std::move(path)), client_node_(client_node) {}
 
   Result<std::string> Read(uint64_t offset, size_t n) const override {
-    LOGBASE_RETURN_NOT_OK(RefreshLocationsIfNeeded(offset + n));
+    auto blocks = Locations(offset + n);
+    if (!blocks.ok()) return blocks.status();
     std::string out;
     uint64_t block_start = 0;
-    for (const BlockInfo& b : blocks_) {
+    for (const BlockInfo& b : **blocks) {
       uint64_t block_end = block_start + b.size;
       if (offset < block_end && offset + n > block_start) {
         uint64_t in_off = offset > block_start ? offset - block_start : 0;
@@ -268,35 +269,90 @@ class DfsRandomAccessFile : public RandomAccessFile {
     return out;
   }
 
+  // Groups the ranges by block and sweeps each block's group on one
+  // replica (DataNode::ReadBlockRanges). A range straddling two blocks, or
+  // one a replica returned short, is re-read through Read, which stitches
+  // blocks and heals short replicas with the longest prefix.
+  Result<std::vector<std::string>> ReadRanges(
+      const std::vector<ReadRange>& ranges) const override {
+    std::vector<std::string> out(ranges.size());
+    if (ranges.empty()) return out;
+    uint64_t need = 0;
+    for (const ReadRange& r : ranges) need = std::max(need, r.offset + r.n);
+    auto blocks = Locations(need);
+    if (!blocks.ok()) return blocks.status();
+    std::vector<size_t> fallback;
+    size_t next = 0;
+    uint64_t block_start = 0;
+    for (size_t bi = 0; bi < (*blocks)->size() && next < ranges.size();
+         bi++) {
+      const BlockInfo& b = (**blocks)[bi];
+      const uint64_t block_end = block_start + b.size;
+      const bool last_block = bi + 1 == (*blocks)->size();
+      std::vector<size_t> members;
+      std::vector<ReadRange> in_block;
+      for (; next < ranges.size() && ranges[next].offset < block_end; next++) {
+        const ReadRange& r = ranges[next];
+        if (r.offset + r.n > block_end && !last_block) {
+          fallback.push_back(next);
+          continue;
+        }
+        members.push_back(next);
+        in_block.push_back(ReadRange{
+            r.offset - block_start,
+            std::min<uint64_t>(r.n, block_end - r.offset)});
+      }
+      if (!members.empty()) {
+        LOGBASE_RETURN_NOT_OK(
+            SweepReplica(b, in_block, members, &out, &fallback));
+      }
+      block_start = block_end;
+    }
+    // Ranges no block claimed start at or past the end of the file and stay
+    // empty, as Read would return them.
+    for (size_t i : fallback) {
+      auto piece = Read(ranges[i].offset, static_cast<size_t>(ranges[i].n));
+      if (!piece.ok()) return piece.status();
+      out[i] = std::move(*piece);
+    }
+    return out;
+  }
+
   uint64_t Size() const override {
     auto size = dfs_->name_node_.FileSize(path_);
     return size.ok() ? *size : 0;
   }
 
  private:
-  Status RefreshLocationsIfNeeded(uint64_t need_bytes) const {
-    if (!blocks_.empty()) {
+  using BlockList = std::shared_ptr<const std::vector<BlockInfo>>;
+
+  // The cached block locations, refreshed from the name node when they do
+  // not cover `need_bytes` (the file grew since). Readers iterate the
+  // returned snapshot, so a concurrent refresh never moves it under them.
+  Result<BlockList> Locations(uint64_t need_bytes) const EXCLUDES(mu_) {
+    MutexLock l(mu_);
+    if (blocks_ != nullptr && !blocks_->empty()) {
       uint64_t cached = 0;
-      for (const BlockInfo& b : blocks_) cached += b.size;
-      if (cached >= need_bytes) return Status::OK();
+      for (const BlockInfo& b : *blocks_) cached += b.size;
+      if (cached >= need_bytes) return blocks_;
     }
     dfs_->MetadataRpc(client_node_);
     auto blocks = dfs_->name_node_.GetBlocks(path_);
     if (!blocks.ok()) return blocks.status();
-    blocks_ = std::move(*blocks);
-    return Status::OK();
+    blocks_ = std::make_shared<const std::vector<BlockInfo>>(
+        std::move(*blocks));
+    return blocks_;
   }
 
-  Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
-                                      uint64_t n) const {
-    // Prefer the local replica (HDFS short-circuit read). Remote order is
-    // sticky per reader node — sorted, then rotated by the reader's id — so
-    // concurrent readers of a hot file spread across replicas while each
-    // reader keeps hitting the same disk. Stickiness matters: a reader that
-    // tails a file sequentially (replica catch-up, re-replication) only gets
-    // the disk's sequential-stream rate if consecutive reads land on the
-    // same replica; chasing the least-busy disk per call breaks the stream
-    // and pays full positioning every time.
+  // Replica preference: the local replica first (HDFS short-circuit read).
+  // Remote order is sticky per reader node — sorted, then rotated by the
+  // reader's id — so concurrent readers of a hot file spread across
+  // replicas while each reader keeps hitting the same disk. Stickiness
+  // matters: a reader that tails a file sequentially (replica catch-up,
+  // re-replication) only gets the disk's sequential-stream rate if
+  // consecutive reads land on the same replica; chasing the least-busy disk
+  // per call breaks the stream and pays full positioning every time.
+  std::vector<int> ReplicaOrder(const BlockInfo& b) const {
     std::vector<int> order;
     std::vector<int> remote;
     for (int r : b.replicas) {
@@ -310,17 +366,30 @@ class DfsRandomAccessFile : public RandomAccessFile {
                   remote.end());
     }
     order.insert(order.end(), remote.begin(), remote.end());
+    return order;
+  }
+
+  // The replica `r` when it is alive and reachable; else null, with the
+  // reason in `last`.
+  DataNode* Serving(int r, Status* last) const {
+    DataNode* dn = dfs_->data_nodes_[r].get();
+    if (!dn->alive()) return nullptr;
+    if (dfs_->network_ != nullptr &&
+        !dfs_->network_->Reachable(client_node_, r)) {
+      *last = Status::Unavailable("replica unreachable");
+      return nullptr;
+    }
+    return dn;
+  }
+
+  Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
+                                      uint64_t n) const {
     Status last = Status::Unavailable("no replicas");
     std::string best;
     bool have_best = false;
-    for (int r : order) {
-      DataNode* dn = dfs_->data_nodes_[r].get();
-      if (!dn->alive()) continue;
-      if (dfs_->network_ != nullptr &&
-          !dfs_->network_->Reachable(client_node_, r)) {
-        last = Status::Unavailable("replica unreachable");
-        continue;
-      }
+    for (int r : ReplicaOrder(b)) {
+      DataNode* dn = Serving(r, &last);
+      if (dn == nullptr) continue;
       auto data = dn->ReadBlock(b.id, offset, n);
       if (data.ok()) {
         if (dfs_->network_ != nullptr) {
@@ -343,10 +412,46 @@ class DfsRandomAccessFile : public RandomAccessFile {
     return last;
   }
 
-  Dfs* dfs_;
+  // Sweeps `in_block` (block-relative, sorted) on the first replica that
+  // serves it, shipping only the requested bytes. Full pieces land in
+  // `out` at their `members` index; short ones go to `fallback`.
+  Status SweepReplica(const BlockInfo& b,
+                      const std::vector<ReadRange>& in_block,
+                      const std::vector<size_t>& members,
+                      std::vector<std::string>* out,
+                      std::vector<size_t>* fallback) const {
+    Status last = Status::Unavailable("no replicas");
+    for (int r : ReplicaOrder(b)) {
+      DataNode* dn = Serving(r, &last);
+      if (dn == nullptr) continue;
+      auto pieces = dn->ReadBlockRanges(b.id, in_block);
+      if (!pieces.ok()) {
+        last = pieces.status();
+        continue;
+      }
+      uint64_t shipped = 0;
+      for (const std::string& piece : *pieces) shipped += piece.size();
+      if (dfs_->network_ != nullptr) {
+        dfs_->network_->Transfer(r, client_node_, shipped);
+      }
+      for (size_t k = 0; k < members.size(); k++) {
+        if ((*pieces)[k].size() >= in_block[k].n) {
+          (*out)[members[k]] = std::move((*pieces)[k]);
+        } else {
+          fallback->push_back(members[k]);
+        }
+      }
+      return Status::OK();
+    }
+    return last;
+  }
+
+  Dfs* const dfs_;
   const std::string path_;
   const int client_node_;
-  mutable std::vector<BlockInfo> blocks_;  // cached locations
+  mutable OrderedMutex mu_{lockrank::kDfsFileLocations, "dfs.file.locations"};
+  // Copy-on-refresh: the vector a snapshot points at is never mutated.
+  mutable BlockList blocks_ GUARDED_BY(mu_);
 };
 
 // ---------------------------------------------------------------------------

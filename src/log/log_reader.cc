@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
+#include "src/obs/metrics.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 
@@ -12,6 +14,18 @@ namespace {
 // Sequential scans read the log in large chunks so the simulated disk sees
 // sequential transfers rather than per-record requests.
 constexpr size_t kScanChunk = 1ull << 20;
+
+/// Decodes the bytes fetched for `ptr`; a short fetch is corruption (the
+/// index never points past durable data).
+Status DecodeFetched(const LogPtr& ptr, const std::string& data,
+                     LogRecord* record) {
+  if (data.size() != ptr.size) {
+    return Status::Corruption("short read at log pointer");
+  }
+  Slice input(data);
+  return LogRecord::DecodeFrom(&input, record);
+}
+
 }  // namespace
 
 LogReader::LogReader(FileSystem* fs, std::string dir, uint32_t instance)
@@ -33,13 +47,44 @@ Result<LogRecord> LogReader::Read(const LogPtr& ptr) {
   if (!file.ok()) return file.status();
   auto data = (*file)->Read(ptr.offset, ptr.size);
   if (!data.ok()) return data.status();
-  if (data->size() != ptr.size) {
-    return Status::Corruption("short read at log pointer");
-  }
-  Slice input(*data);
   LogRecord record;
-  LOGBASE_RETURN_NOT_OK(LogRecord::DecodeFrom(&input, &record));
+  LOGBASE_RETURN_NOT_OK(DecodeFetched(ptr, *data, &record));
   return record;
+}
+
+Result<std::vector<LogRecord>> LogReader::ReadMany(
+    const std::vector<LogPtr>& ptrs) {
+  static obs::HistogramMetric* sweep_records =
+      obs::MetricsRegistry::Global().histogram("log.read.sweep_records");
+  sweep_records->Observe(static_cast<double>(ptrs.size()));
+  std::vector<size_t> order(ptrs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (ptrs[a].segment != ptrs[b].segment) {
+      return ptrs[a].segment < ptrs[b].segment;
+    }
+    return ptrs[a].offset < ptrs[b].offset;
+  });
+  std::vector<LogRecord> records(ptrs.size());
+  for (size_t begin = 0; begin < order.size();) {
+    const uint32_t segment = ptrs[order[begin]].segment;
+    size_t end = begin;
+    std::vector<ReadRange> ranges;
+    for (; end < order.size() && ptrs[order[end]].segment == segment; end++) {
+      const LogPtr& ptr = ptrs[order[end]];
+      ranges.push_back(ReadRange{ptr.offset, ptr.size});
+    }
+    auto file = OpenSegment(segment);
+    if (!file.ok()) return file.status();
+    auto data = (*file)->ReadRanges(ranges);
+    if (!data.ok()) return data.status();
+    for (size_t k = begin; k < end; k++) {
+      LOGBASE_RETURN_NOT_OK(DecodeFetched(ptrs[order[k]], (*data)[k - begin],
+                                          &records[order[k]]));
+    }
+    begin = end;
+  }
+  return records;
 }
 
 Result<std::vector<uint32_t>> LogReader::ListSegments() const {

@@ -29,6 +29,13 @@ class LogReader {
   /// Fetches the record a LogPtr points at (one positional read).
   Result<LogRecord> Read(const LogPtr& ptr);
 
+  /// Fetches many records (a scan chunk's misses) as one sieved sweep per
+  /// segment: pointers are sorted by (segment, offset) and each segment is
+  /// read with one RandomAccessFile::ReadRanges, so records a short gap
+  /// apart share a disk access. Results come back in `ptrs` order with
+  /// Read's checks (short read -> Corruption, frame CRC).
+  Result<std::vector<LogRecord>> ReadMany(const std::vector<LogPtr>& ptrs);
+
   /// Segment numbers present in the log directory, ascending.
   Result<std::vector<uint32_t>> ListSegments() const;
 

@@ -261,12 +261,13 @@ Result<TabletResult> ExecuteOverEntries(
     const size_t n = std::min(batch_rows, entries.size() - base);
 
     // Fetch the chunk's stored values (buffer/log/replica per caller).
-    std::vector<std::string> values(n);
-    for (size_t i = 0; i < n; i++) {
-      auto value = fetch(base + i, entries[base + i]);
-      if (!value.ok()) return value.status();
-      values[i] = std::move(*value);
+    auto fetched =
+        fetch(std::span<const index::IndexEntry>(entries).subspan(base, n));
+    if (!fetched.ok()) return fetched.status();
+    if (fetched->size() != n) {
+      return Status::Corruption("value fetcher returned a short chunk");
     }
+    std::vector<std::string>& values = *fetched;
 
     // Gather the evaluation columns (cells + presence) out of the stored
     // column-group encoding. A value that is not column-encoded simply has

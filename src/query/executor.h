@@ -1,9 +1,9 @@
 // The shared scan-pushdown executor: evaluates a QueryPlan over one
-// tablet's index entries, fetching record values through a caller-supplied
-// callback (read buffer + log on the primary, replica fetch on a replica,
-// already-shipped rows on the client-side reference path). All three
-// callers reduce to the same code, so their results are bit-identical by
-// construction — the differential test in tests/query_test.cc pins that.
+// tablet's index entries, fetching record values a chunk at a time through
+// a caller-supplied callback (read buffer + sieved log sweep on the primary
+// and on a replica). Both callers reduce to the same code, so their results
+// are bit-identical by construction — the differential test in
+// tests/query_test.cc pins that against a client-side reference.
 //
 // Evaluation is columnar: each chunk of scanned rows is decomposed into the
 // plan's referenced columns (cells + presence), the predicate runs
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,11 +80,13 @@ struct TabletResult {
   ScanStats stats;
 };
 
-/// Fetches the record value for `entries[i]`; the executor calls it once
-/// per scanned entry, in entry order. Callers route it at their storage
-/// (read buffer + log, replica log fetch, pre-materialized rows).
-using ValueFetcher =
-    std::function<Result<std::string>(size_t i, const index::IndexEntry&)>;
+/// Fetches the record values of one chunk of scanned entries (at most
+/// `batch_rows`, consecutive, in entry order), returning exactly one value
+/// per entry in the same order. The executor calls it once per chunk, so a
+/// caller can fetch the chunk's misses as one sieved log sweep (read buffer
+/// + log on a primary or a replica).
+using ValueFetcher = std::function<Result<std::vector<std::string>>(
+    std::span<const index::IndexEntry> chunk)>;
 
 /// Runs `plan` over `entries` (already range- and snapshot-filtered by the
 /// caller's index scan), fetching values through `fetch`.

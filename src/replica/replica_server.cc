@@ -187,24 +187,36 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
   return Status::OK();
 }
 
+Status ReplicaServer::StalePointerLocked(ReplicatedTablet* t) {
+  // A pointer no longer resolves: the source compacted the segment away
+  // since we indexed it. Rebuild from the compaction's checkpoint on the
+  // next tick; the caller retries (and falls back to the primary).
+  t->needs_reseed = true;
+  return Status::Unavailable("replica log pointer stale; reseeding");
+}
+
 Result<std::string> ReplicaServer::FetchValueLocked(
     ReplicatedTablet* t, const index::IndexEntry& entry) {
   obs::Span span("log.read");
   auto reader = ReaderForLocked(entry.ptr.instance);
   if (!reader.ok()) return reader.status();
   auto record = (*reader)->Read(entry.ptr);
-  if (!record.ok()) {
-    // The pointer no longer resolves: the source compacted the segment away
-    // since we indexed it. Rebuild from the compaction's checkpoint on the
-    // next tick; the caller retries (and falls back to the primary).
-    t->needs_reseed = true;
-    return Status::Unavailable("replica log pointer stale; reseeding");
-  }
+  if (!record.ok()) return StalePointerLocked(t);
   sim::ChargeCpu(sim::costs::kRecordCodecUs);
   if (record->row.timestamp != entry.timestamp) {
     return Status::Corruption("replica index points at wrong record version");
   }
   return std::move(record->value);
+}
+
+Result<std::vector<log::LogRecord>> ReplicaServer::ReadManyLocked(
+    ReplicatedTablet* t, uint32_t instance,
+    const std::vector<log::LogPtr>& ptrs) {
+  auto reader = ReaderForLocked(instance);
+  if (!reader.ok()) return reader.status();
+  auto records = (*reader)->ReadMany(ptrs);
+  if (!records.ok()) return StalePointerLocked(t);
+  return records;
 }
 
 Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
@@ -279,20 +291,24 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
 
   std::vector<index::IndexEntry> entries = t.index->ScanRange(
       Slice(plan->start_key), Slice(plan->end_key), effective_ts);
-  // Values are fetched up front under mu_ (FetchValueLocked flags stale log
-  // pointers for reseed); the executor then runs over the materialized
-  // chunk. The executor fetches every scanned value regardless — predicates
-  // read them — so nothing is wasted by eager fetching.
-  std::vector<std::string> values;
-  values.reserve(entries.size());
-  for (const index::IndexEntry& entry : entries) {
-    auto value = FetchValueLocked(&t, entry);
-    if (!value.ok()) return value.status();
-    values.push_back(std::move(*value));
-  }
-  auto fetch = [&values](size_t i,
-                         const index::IndexEntry&) -> Result<std::string> {
-    return std::move(values[i]);
+  // Chunks are fetched under mu_ like Get: buffered exact versions first,
+  // then one sieved sweep for the misses (ReadManyLocked flags stale log
+  // pointers for reseed). Only when no applied version lies above the
+  // snapshot are the fetched versions each key's newest, so only then may
+  // they be cached.
+  const bool cacheable = effective_ts >= t.max_applied_ts;
+  auto fetch = [&](std::span<const index::IndexEntry> chunk)
+      -> Result<std::vector<std::string>> {
+    return tablet::FetchChunk(
+        &buffer_, BufferPrefix(uid), chunk,
+        // FetchChunk calls this synchronously, inside this function's
+        // MutexLock on mu_; the analysis cannot follow the std::function
+        // boundary.
+        [&](uint32_t instance, const std::vector<log::LogPtr>& ptrs)
+            NO_THREAD_SAFETY_ANALYSIS {
+              return ReadManyLocked(&t, instance, ptrs);
+            },
+        cacheable);
   };
   auto result =
       query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);

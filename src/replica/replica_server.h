@@ -161,6 +161,13 @@ class ReplicaServer {
   Status SnapshotBoundLocked(const ReplicatedTablet& t, uint64_t as_of,
                              int64_t max_staleness_us,
                              uint64_t* effective_ts) const REQUIRES(mu_);
+  /// Flags `t` for reseed after a log read failed; returns Unavailable.
+  Status StalePointerLocked(ReplicatedTablet* t) REQUIRES(mu_);
+  /// One sieved ReadMany against `instance`'s log; a failure flags the
+  /// tablet for reseed and reads as Unavailable.
+  Result<std::vector<log::LogRecord>> ReadManyLocked(
+      ReplicatedTablet* t, uint32_t instance,
+      const std::vector<log::LogPtr>& ptrs) REQUIRES(mu_);
   Result<std::string> FetchValueLocked(ReplicatedTablet* t,
                                        const index::IndexEntry& entry)
       REQUIRES(mu_);

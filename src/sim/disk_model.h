@@ -72,6 +72,15 @@ class DiskModel {
   Resource* resource() { return &resource_; }
   const DiskParams& params() const { return params_; }
 
+  /// Bytes the disk transfers in the time one positioning (seek + half a
+  /// rotation) takes: reading straight through a gap shorter than this is
+  /// cheaper than seeking over it. Derived from DiskParams, not an option.
+  uint64_t seek_equivalent_bytes() const {
+    return static_cast<uint64_t>(
+        static_cast<double>(params_.seek_us + params_.rotational_us) *
+        params_.bandwidth_mb_per_s);
+  }
+
   /// Fault injection: adds `us` of latency to every subsequent access
   /// (a stalling spindle / overloaded controller). 0 clears the stall.
   void set_stall_us(VirtualTime us) {

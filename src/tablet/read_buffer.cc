@@ -83,6 +83,16 @@ ReadBuffer::ReadBuffer(size_t capacity_bytes,
     : capacity_(capacity_bytes), policy_(std::move(policy)) {}
 
 bool ReadBuffer::Get(const std::string& key, CachedRecord* record) {
+  return Probe(key, nullptr, record);
+}
+
+bool ReadBuffer::GetVersion(const std::string& key, uint64_t timestamp,
+                            CachedRecord* record) {
+  return Probe(key, &timestamp, record);
+}
+
+bool ReadBuffer::Probe(const std::string& key, const uint64_t* timestamp,
+                       CachedRecord* record) {
   if (!enabled()) return false;
   sim::ChargeCpu(sim::costs::kCacheProbeUs);
   MutexLock l(mu_);
@@ -91,7 +101,8 @@ bool ReadBuffer::Get(const std::string& key, CachedRecord* record) {
   static obs::Counter* miss_count =
       obs::MetricsRegistry::Global().counter("tablet.read_buffer.misses");
   auto it = map_.find(key);
-  if (it == map_.end()) {
+  if (it == map_.end() ||
+      (timestamp != nullptr && it->second.timestamp != *timestamp)) {
     misses_++;
     miss_count->Add();
     return false;

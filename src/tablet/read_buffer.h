@@ -52,6 +52,11 @@ class ReadBuffer {
 
   /// Returns true and fills `record` on a hit.
   bool Get(const std::string& key, CachedRecord* record);
+  /// Like Get, but only the exact version `timestamp` counts as a hit (a
+  /// scan knows which version its index entry names); any other cached
+  /// version is a miss and keeps its recency.
+  bool GetVersion(const std::string& key, uint64_t timestamp,
+                  CachedRecord* record);
 
   /// Inserts/refreshes; keeps the newer version on timestamp conflicts.
   void Put(const std::string& key, CachedRecord record);
@@ -64,6 +69,10 @@ class ReadBuffer {
   size_t usage() const;
 
  private:
+  /// Get/GetVersion: a hit needs the key and, when `timestamp` is set,
+  /// that exact version.
+  bool Probe(const std::string& key, const uint64_t* timestamp,
+             CachedRecord* record);
   void EvictIfNeeded() REQUIRES(mu_);
 
   const size_t capacity_;

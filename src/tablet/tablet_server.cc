@@ -484,6 +484,86 @@ Result<std::string> TabletServer::FetchRecordValue(const log::LogPtr& ptr,
   return std::move(record->value);
 }
 
+Result<std::vector<std::string>> FetchChunk(
+    ReadBuffer* buffer, const std::string& buffer_prefix,
+    std::span<const index::IndexEntry> entries, const LogBatchRead& read,
+    bool fill_buffer) {
+  std::vector<std::string> values(entries.size());
+  // Buffer misses per log instance: entry positions and their pointers.
+  struct Misses {
+    std::vector<size_t> at;
+    std::vector<log::LogPtr> ptrs;
+  };
+  std::map<uint32_t, Misses> misses;
+  for (size_t i = 0; i < entries.size(); i++) {
+    CachedRecord cached;
+    if (buffer->GetVersion(buffer_prefix + entries[i].key,
+                           entries[i].timestamp, &cached)) {
+      values[i] = std::move(cached.value);
+      continue;
+    }
+    Misses& m = misses[entries[i].ptr.instance];
+    m.at.push_back(i);
+    m.ptrs.push_back(entries[i].ptr);
+  }
+  for (auto& [instance, m] : misses) {
+    Result<std::vector<log::LogRecord>> records = [&] {
+      obs::Span span("log.read");
+      auto fetched = read(instance, m.ptrs);
+      if (fetched.ok()) {
+        sim::ChargeCpu(static_cast<sim::VirtualTime>(fetched->size()) *
+                       sim::costs::kRecordCodecUs);
+      }
+      return fetched;
+    }();
+    if (!records.ok()) return records.status();
+    for (size_t k = 0; k < m.at.size(); k++) {
+      const index::IndexEntry& entry = entries[m.at[k]];
+      log::LogRecord& record = (*records)[k];
+      if (record.row.timestamp != entry.timestamp) {
+        return Status::Corruption("index points at wrong record version");
+      }
+      if (fill_buffer) {
+        buffer->Put(buffer_prefix + entry.key,
+                    CachedRecord{entry.timestamp, record.value});
+      }
+      values[m.at[k]] = std::move(record.value);
+    }
+  }
+  return values;
+}
+
+Result<std::vector<std::string>> TabletServer::FetchValues(
+    const std::string& tablet_uid, std::span<const index::IndexEntry> entries,
+    bool fill_buffer) {
+  return FetchChunk(
+      &buffer_, BufferKey(tablet_uid, Slice()), entries,
+      [this](uint32_t instance, const std::vector<log::LogPtr>& ptrs)
+          -> Result<std::vector<log::LogRecord>> {
+        auto reader = ReaderFor(instance);
+        if (!reader.ok()) return reader.status();
+        return (*reader)->ReadMany(ptrs);
+      },
+      fill_buffer);
+}
+
+Result<std::vector<ReadRow>> TabletServer::FetchRows(
+    Tablet* tablet, const std::string& tablet_uid,
+    const std::vector<index::IndexEntry>& entries) {
+  auto values = FetchValues(tablet_uid, entries, /*fill_buffer=*/false);
+  if (!values.ok()) return values.status();
+  std::vector<ReadRow> rows;
+  rows.reserve(entries.size());
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < entries.size(); i++) {
+    bytes += entries[i].key.size() + (*values)[i].size();
+    rows.push_back(ReadRow{entries[i].key, entries[i].timestamp,
+                           std::move((*values)[i])});
+  }
+  tablet->RecordRead(bytes);
+  return rows;
+}
+
 Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
                                     const Slice& key) {
   obs::Span span("tablet.get");
@@ -543,17 +623,7 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-  std::vector<ReadRow> rows;
-  for (const index::IndexEntry& entry :
-       tablet->index()->GetAllVersions(key)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
-    if (!value.ok()) return value.status();
-    rows.push_back(ReadRow{entry.key, entry.timestamp, std::move(*value)});
-  }
-  uint64_t bytes = 0;
-  for (const ReadRow& row : rows) bytes += row.key.size() + row.value.size();
-  tablet->RecordRead(bytes);
-  return rows;
+  return FetchRows(tablet, tablet_uid, tablet->index()->GetAllVersions(key));
 }
 
 Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
@@ -598,17 +668,8 @@ Result<std::vector<ReadRow>> TabletServer::Scan(const std::string& tablet_uid,
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-  std::vector<ReadRow> rows;
-  for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange(start_key, end_key, as_of)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
-    if (!value.ok()) return value.status();
-    rows.push_back(ReadRow{entry.key, entry.timestamp, std::move(*value)});
-  }
-  uint64_t bytes = 0;
-  for (const ReadRow& row : rows) bytes += row.key.size() + row.value.size();
-  tablet->RecordRead(bytes);
-  return rows;
+  return FetchRows(tablet, tablet_uid,
+                   tablet->index()->ScanRange(start_key, end_key, as_of));
 }
 
 Result<query::TabletResult> TabletServer::ExecuteScan(
@@ -633,19 +694,15 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
   // stale data to later Gets.
   const bool cacheable = options.as_of == ~0ull;
   uint64_t scanned_bytes = 0;
-  auto fetch = [&](size_t, const index::IndexEntry& entry)
-      -> Result<std::string> {
-    const std::string bkey = BufferKey(tablet_uid, Slice(entry.key));
-    CachedRecord cached;
-    if (buffer_.Get(bkey, &cached) && cached.timestamp == entry.timestamp) {
-      scanned_bytes += entry.key.size() + cached.value.size();
-      return std::move(cached.value);
+  auto fetch = [&](std::span<const index::IndexEntry> chunk)
+      -> Result<std::vector<std::string>> {
+    auto values = FetchValues(tablet_uid, chunk, cacheable);
+    if (values.ok()) {
+      for (size_t i = 0; i < chunk.size(); i++) {
+        scanned_bytes += chunk[i].key.size() + (*values)[i].size();
+      }
     }
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
-    if (!value.ok()) return value.status();
-    scanned_bytes += entry.key.size() + value->size();
-    if (cacheable) buffer_.Put(bkey, CachedRecord{entry.timestamp, *value});
-    return value;
+    return values;
   };
   auto result =
       query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);
@@ -777,13 +834,20 @@ Status TabletServer::CreateSecondaryIndex(const std::string& tablet_uid,
   }
   auto index =
       std::make_unique<secondary::SecondaryIndex>(index_name, extractor);
-  // Backfill from the current (latest-version) contents of the tablet.
-  for (const index::IndexEntry& entry :
-       tablet->index()->ScanRange("", "", ~0ull)) {
-    auto value = FetchRecordValue(entry.ptr, entry.timestamp);
-    if (!value.ok()) return value.status();
-    LOGBASE_RETURN_NOT_OK(
-        index->OnWrite(Slice(entry.key), entry.timestamp, Slice(*value)));
+  // Backfill from the current (latest-version) contents of the tablet, a
+  // scan chunk at a time.
+  const std::vector<index::IndexEntry> entries =
+      tablet->index()->ScanRange("", "", ~0ull);
+  const size_t chunk_rows = query::ExecOptions{}.batch_rows;
+  for (size_t base = 0; base < entries.size(); base += chunk_rows) {
+    auto chunk = std::span<const index::IndexEntry>(entries).subspan(
+        base, std::min(chunk_rows, entries.size() - base));
+    auto values = FetchValues(tablet_uid, chunk, /*fill_buffer=*/false);
+    if (!values.ok()) return values.status();
+    for (size_t i = 0; i < chunk.size(); i++) {
+      LOGBASE_RETURN_NOT_OK(index->OnWrite(
+          Slice(chunk[i].key), chunk[i].timestamp, Slice((*values)[i])));
+    }
   }
   tablet->AddSecondaryIndex(std::move(index));
   return Status::OK();

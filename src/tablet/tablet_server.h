@@ -8,9 +8,11 @@
 #define LOGBASE_TABLET_TABLET_SERVER_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,6 +117,23 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
                                           const TabletDescriptor& descriptor,
                                           index::MultiVersionIndex* dest,
                                           RecoveryStats* stats = nullptr);
+
+/// Reads the records at `ptrs`, all in log instance `instance`, as one
+/// sieved sweep (log::LogReader::ReadMany); the caller picks the reader and
+/// maps its failures.
+using LogBatchRead = std::function<Result<std::vector<log::LogRecord>>(
+    uint32_t instance, const std::vector<log::LogPtr>& ptrs)>;
+
+/// The scan-chunk fetch primaries and replicas share. An entry whose exact
+/// version is cached in `buffer` (under `buffer_prefix` + key) is served
+/// from it; the misses are read with one `read` per log instance, and each
+/// fetched record must carry its entry's timestamp (Corruption otherwise).
+/// With `fill_buffer` (latest-snapshot reads only: the buffer holds newest
+/// versions) fetched values are cached. Values come back in entry order.
+Result<std::vector<std::string>> FetchChunk(
+    ReadBuffer* buffer, const std::string& buffer_prefix,
+    std::span<const index::IndexEntry> entries, const LogBatchRead& read,
+    bool fill_buffer);
 
 /// An in-flight asynchronous write: the log ticket plus everything needed
 /// to publish the write once its group-commit batch is durable. Obtained
@@ -320,8 +339,18 @@ class TabletServer {
 
   Result<std::unique_ptr<index::MultiVersionIndex>> NewIndex(
       const std::string& uid);
+  /// Point-read fetch: one log record, checked against `expect_ts`.
   Result<std::string> FetchRecordValue(const log::LogPtr& ptr,
                                        uint64_t expect_ts);
+  /// Range-read fetch: FetchChunk over this server's read buffer and logs.
+  Result<std::vector<std::string>> FetchValues(
+      const std::string& tablet_uid,
+      std::span<const index::IndexEntry> entries, bool fill_buffer);
+  /// Scan/GetVersions result rows for `entries` (never cached: they may be
+  /// historical versions); charges the bytes to the tablet's read load.
+  Result<std::vector<ReadRow>> FetchRows(
+      Tablet* tablet, const std::string& tablet_uid,
+      const std::vector<index::IndexEntry>& entries);
   std::string BufferKey(const std::string& tablet_uid, const Slice& key) const;
   Status MaybeAutoCheckpoint(Tablet* tablet);
   /// Restart fencing: drops recovered tablets whose persisted assignment

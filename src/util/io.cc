@@ -6,6 +6,18 @@
 
 namespace logbase {
 
+Result<std::vector<std::string>> RandomAccessFile::ReadRanges(
+    const std::vector<ReadRange>& ranges) const {
+  std::vector<std::string> out;
+  out.reserve(ranges.size());
+  for (const ReadRange& range : ranges) {
+    auto piece = Read(range.offset, static_cast<size_t>(range.n));
+    if (!piece.ok()) return piece.status();
+    out.push_back(std::move(*piece));
+  }
+  return out;
+}
+
 Status WritableFile::SyncWith(const SyncPolicy& policy, SyncReceipt* receipt) {
   (void)policy;
   LOGBASE_RETURN_NOT_OK(Sync());

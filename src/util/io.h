@@ -68,6 +68,12 @@ class WritableFile {
   virtual uint64_t Size() const = 0;
 };
 
+/// One byte range of a vectored read.
+struct ReadRange {
+  uint64_t offset = 0;
+  uint64_t n = 0;
+};
+
 /// A file readable at arbitrary offsets; safe for concurrent readers.
 class RandomAccessFile {
  public:
@@ -76,6 +82,12 @@ class RandomAccessFile {
   /// Reads up to n bytes starting at offset. Short reads at EOF are not an
   /// error; reading entirely past EOF yields an empty result.
   virtual Result<std::string> Read(uint64_t offset, size_t n) const = 0;
+  /// Vectored read: one result per range, in `ranges` order, each with
+  /// Read's short-at-EOF semantics. `ranges` must be sorted by offset. The
+  /// base implementation loops over Read; the DFS adapter sweeps each
+  /// block's ranges in one disk access, reading through small gaps.
+  virtual Result<std::vector<std::string>> ReadRanges(
+      const std::vector<ReadRange>& ranges) const;
   virtual uint64_t Size() const = 0;
 };
 

@@ -80,6 +80,10 @@ enum Rank : uint32_t {
 
   kBlockCache = 650,            // sstable::BlockCache::mu_
 
+  // DFS reader's cached block locations: held across the name-node lookup
+  // that refreshes them.
+  kDfsFileLocations = 690,      // dfs::DfsRandomAccessFile::mu_
+
   // DFS metadata/data plane: reached from nearly every lock above.
   kDfsNameNode = 700,           // dfs::NameNode::mu_
   kDfsDataNode = 710,           // dfs::DataNode::mu_

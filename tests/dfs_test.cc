@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "src/dfs/dfs.h"
 #include "src/obs/metrics.h"
@@ -285,6 +287,201 @@ TEST(DfsTest, LocalReadSkipsNetwork) {
       EXPECT_GT(remote.now(), local.now());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sieved range reads.
+// ---------------------------------------------------------------------------
+
+/// Distinct bytes per offset, so a misplaced piece cannot compare equal.
+std::string Pattern(size_t n) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; i++) out[i] = static_cast<char>('a' + (i * 7) % 26);
+  return out;
+}
+
+uint64_t BridgedBytes() {
+  return obs::MetricsRegistry::Global()
+      .counter("dfs.pread.bridged_bytes")
+      ->value();
+}
+
+// Two 1000-byte ranges with a gap just below / at the seek-equivalent: the
+// first shares one disk access (positioning + transfer of the whole span),
+// the second pays two positionings.
+TEST(DataNodeTest, ReadBlockRangesBridgesGapsBelowSeekEquivalent) {
+  const sim::DiskParams params;
+  const uint64_t bridge = DataNode(0, params).disk()->seek_equivalent_bytes();
+  ASSERT_EQ(bridge, 1215000u);  // (8000 + 4150) us x 100 B/us
+  const sim::VirtualTime positioning = params.seek_us + params.rotational_us;
+  auto transfer = [](uint64_t n) {
+    return static_cast<sim::VirtualTime>(n / 100) + 1;  // 100 MB/s, +1 us
+  };
+  const std::string data = Pattern(3 * bridge);
+  for (uint64_t gap : {bridge - 1, bridge}) {
+    DataNode dn(0, params);
+    ASSERT_TRUE(dn.StoreBlockData(7, 0, data).ok());
+    const std::vector<ReadRange> ranges = {{0, 1000}, {1000 + gap, 1000}};
+    const uint64_t bridged_before = BridgedBytes();
+    sim::SimContext ctx;
+    Result<std::vector<std::string>> pieces = [&] {
+      sim::SimContext::Scope scope(&ctx);
+      return dn.ReadBlockRanges(7, ranges);
+    }();
+    ASSERT_TRUE(pieces.ok());
+    ASSERT_EQ(pieces->size(), 2u);
+    EXPECT_EQ((*pieces)[0], data.substr(0, 1000));
+    EXPECT_EQ((*pieces)[1], data.substr(1000 + gap, 1000));
+    if (gap < bridge) {
+      EXPECT_EQ(ctx.now(), positioning + transfer(2000 + gap));
+      EXPECT_EQ(BridgedBytes() - bridged_before, gap);
+    } else {
+      EXPECT_EQ(ctx.now(), 2 * (positioning + transfer(1000)));
+      EXPECT_EQ(BridgedBytes() - bridged_before, 0u);
+    }
+  }
+}
+
+TEST(DataNodeTest, ReadBlockRangesFailsWholeOnInjectedError) {
+  DataNode dn(0);
+  ASSERT_TRUE(dn.StoreBlockData(1, 0, Pattern(4096)).ok());
+  const std::vector<ReadRange> ranges = {{0, 10}, {100, 10}, {4000, 10}};
+  dn.InjectIoErrors(1);
+  EXPECT_TRUE(dn.ReadBlockRanges(1, ranges).status().IsIOError());
+  auto retry = dn.ReadBlockRanges(1, ranges);  // the one error is consumed
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ((*retry)[2], Pattern(4096).substr(4000, 10));
+}
+
+// Every range reads exactly what Read returns: in-block ranges, one
+// straddling a block boundary, and one running past the end of the file.
+TEST(DfsRangesTest, ReadRangesMatchesReadIncludingStraddles) {
+  Dfs dfs(SmallBlocks(3, 1000));
+  const std::string data = Pattern(4500);
+  auto wf = dfs.Create("/ranges", 0);
+  ASSERT_TRUE((*wf)->Append(data).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  auto rf = dfs.Open("/ranges", 1);
+  const std::vector<ReadRange> ranges = {
+      {10, 20}, {200, 50}, {990, 20}, {2500, 100}, {4490, 100}, {5000, 10}};
+  auto pieces = (*rf)->ReadRanges(ranges);
+  ASSERT_TRUE(pieces.ok());
+  ASSERT_EQ(pieces->size(), ranges.size());
+  for (size_t i = 0; i < ranges.size(); i++) {
+    auto expect = (*rf)->Read(ranges[i].offset, ranges[i].n);
+    ASSERT_TRUE(expect.ok());
+    EXPECT_EQ((*pieces)[i], *expect) << "range " << i;
+  }
+  EXPECT_EQ((*pieces)[2], data.substr(990, 20));  // the straddler
+  EXPECT_EQ((*pieces)[4], data.substr(4490));     // short at EOF
+  EXPECT_TRUE((*pieces)[5].empty());              // past EOF
+}
+
+TEST(DfsRangesTest, DeadLocalReplicaFailsOverToRemote) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  const std::string data = Pattern(100000);
+  auto wf = dfs.Create("/failover", 0);
+  ASSERT_TRUE((*wf)->Append(data).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  auto rf = dfs.Open("/failover", 0);  // node 0 holds the local replica
+  dfs.KillDataNode(0);
+  const std::vector<ReadRange> ranges = {{0, 100}, {50000, 100}};
+  sim::SimContext ctx;
+  Result<std::vector<std::string>> pieces = [&] {
+    sim::SimContext::Scope scope(&ctx);
+    return (*rf)->ReadRanges(ranges);
+  }();
+  ASSERT_TRUE(pieces.ok());
+  EXPECT_EQ((*pieces)[0], data.substr(0, 100));
+  EXPECT_EQ((*pieces)[1], data.substr(50000, 100));
+  EXPECT_EQ(dfs.data_node(0)->disk()->resource()->total_busy_us(), 0);
+  EXPECT_GT(dfs.data_node(1)->disk()->resource()->total_busy_us() +
+                dfs.data_node(2)->disk()->resource()->total_busy_us(),
+            0);
+}
+
+// A replica that missed quorum-acked tail appends returns short pieces for
+// the tail; those ranges fall back to Read, which heals from the longest
+// replica, while ranges the stale replica holds stay on the sweep.
+TEST(DfsRangesTest, ShortReplicaFallsBackToHealingRead) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  const std::string data = Pattern(20000);
+  auto wf = dfs.Create("/stale", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.KillDataNode(2);
+  ASSERT_TRUE((*wf)->Append(data.substr(10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.RestartDataNode(2);
+  ASSERT_EQ(*dfs.data_node(2)->BlockSize(
+                (*dfs.name_node()->GetBlocks("/stale"))[0].id),
+            10000u);
+
+  auto rf = dfs.Open("/stale", 2);  // the stale replica is local: tried first
+  const std::vector<ReadRange> ranges = {{100, 50}, {9990, 20}, {15000, 50}};
+  auto pieces = (*rf)->ReadRanges(ranges);
+  ASSERT_TRUE(pieces.ok());
+  for (size_t i = 0; i < ranges.size(); i++) {
+    EXPECT_EQ((*pieces)[i], data.substr(ranges[i].offset, ranges[i].n))
+        << "range " << i;
+  }
+}
+
+// Several readers share one open file (as LogReader shares a segment)
+// and read its growing tail while a writer appends: the cached block
+// locations are refreshed under the reader's lock and iterated as a
+// snapshot, so the refresh never races the iteration (run under TSan).
+TEST(DfsRangesTest, ConcurrentTailReadersDuringAppends) {
+  Dfs dfs(SmallBlocks(3, 512));
+  const std::string data = Pattern(64 * 200);
+  auto wf = dfs.Create("/shared", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 64)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  auto rf = dfs.Open("/shared", 1);
+  ASSERT_TRUE(rf.ok());
+  const RandomAccessFile* shared = rf->get();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; t++) {
+    readers.emplace_back([&, t] {
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        reads.fetch_add(1);
+        const uint64_t size = shared->Size();
+        if (size < 64) continue;
+        const uint64_t tail = size - 64;
+        if (t % 2 == 0) {
+          auto piece = shared->Read(tail, 64);
+          if (!piece.ok() || *piece != data.substr(tail, piece->size())) {
+            mismatches.fetch_add(1);
+          }
+        } else {
+          auto pieces = shared->ReadRanges({{0, 16}, {tail, 64}});
+          if (!pieces.ok() || (*pieces)[0] != data.substr(0, 16) ||
+              (*pieces)[1] != data.substr(tail, (*pieces)[1].size())) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  while (started.load() < 4) std::this_thread::yield();
+  for (size_t off = 64; off < data.size(); off += 64) {
+    ASSERT_TRUE((*wf)->Append(data.substr(off, 64)).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  auto all = shared->Read(0, data.size());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, data);
 }
 
 // FileSystem adapter behaves like the generic interface.

@@ -185,6 +185,46 @@ TEST(LogWriterTest, ReopenContinuesInFreshSegment) {
   EXPECT_EQ(reader.Read(*ptr)->key.lsn, 100u);
 }
 
+TEST(LogReaderTest, ReadManyReturnsInputOrderAcrossSegments) {
+  LogFixture f;  // 4 KB segments
+  std::string value(700, 'v');
+  std::vector<LogPtr> written;
+  for (int i = 0; i < 12; i++) {
+    written.push_back(
+        *f.writer.Append(MakeData("k" + std::to_string(i), value, i + 1)));
+  }
+  ASSERT_GT(written.back().segment, written.front().segment);
+  // Shuffled across both segments, with a duplicate.
+  std::vector<LogPtr> ptrs = {written[9], written[0], written[11], written[3],
+                              written[0], written[6]};
+  auto records = f.reader.ReadMany(ptrs);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), ptrs.size());
+  for (size_t i = 0; i < ptrs.size(); i++) {
+    auto single = f.reader.Read(ptrs[i]);
+    ASSERT_TRUE(single.ok());
+    std::string many_bytes, single_bytes;
+    (*records)[i].EncodeTo(&many_bytes);
+    single->EncodeTo(&single_bytes);
+    EXPECT_EQ(many_bytes, single_bytes) << "pointer " << i;
+  }
+  EXPECT_EQ((*records)[0].row.primary_key, "k9");
+  EXPECT_EQ((*records)[2].row.primary_key, "k11");
+  EXPECT_TRUE(f.reader.ReadMany({})->empty());
+}
+
+TEST(LogReaderTest, ReadManyBadPointerIsCorruption) {
+  LogFixture f;
+  LogPtr a = *f.writer.Append(MakeData("a", "1", 1));
+  LogPtr b = *f.writer.Append(MakeData("b", "2", 2));
+  LogPtr shifted = b;
+  shifted.offset += 1;  // lands mid-frame: the CRC check rejects it
+  EXPECT_TRUE(f.reader.ReadMany({a, shifted}).status().IsCorruption());
+  LogPtr past_end = b;
+  past_end.size += 64;  // runs past the durable end: a short read
+  EXPECT_TRUE(f.reader.ReadMany({past_end, a}).status().IsCorruption());
+}
+
 TEST(LogReaderTest, ScannerIteratesAllSegmentsInOrder) {
   LogFixture f;
   std::string value(800, 'v');
