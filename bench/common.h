@@ -145,13 +145,20 @@ inline void PrintComponentBreakdown(
 
   // Sieved range reads: the gap bytes read through (the sieve's overhead)
   // sit next to the swept bytes, and records per sweep (its saving: one
-  // positioning per sweep instead of one per record) follow.
+  // positioning per sweep instead of one per record) follow. `steered`
+  // counts point reads served off their sticky (local-first) replica
+  // because another replica would finish first, over all preads.
   hist_line("dfs.pread", "dfs.pread.us");
-  std::printf("  bytes=%llu  bridged=%llu\n",
+  const obs::MetricPoint* preads = m.Find("dfs.pread.us");
+  std::printf("  bytes=%llu  bridged=%llu  steered=%llu/%llu\n",
               static_cast<unsigned long long>(
                   m.CounterValue("dfs.pread.bytes")),
               static_cast<unsigned long long>(
-                  m.CounterValue("dfs.pread.bridged_bytes")));
+                  m.CounterValue("dfs.pread.bridged_bytes")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("dfs.pread.steered")),
+              static_cast<unsigned long long>(
+                  preads != nullptr ? preads->count : 0));
   const obs::MetricPoint* sweep = m.Find("log.read.sweep_records");
   if (sweep != nullptr && sweep->count > 0) {
     std::printf("  %-12s sweeps=%-10llu records_avg=%.1f  records_max=%.0f\n",

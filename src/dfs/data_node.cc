@@ -129,6 +129,22 @@ Result<std::vector<std::string>> DataNode::ReadBlockRanges(
   return out;
 }
 
+DataNode::ReadEstimate DataNode::EstimateRead(sim::VirtualTime start,
+                                              BlockId block, uint64_t offset,
+                                              uint64_t n) const {
+  uint64_t bytes = 0;
+  {
+    MutexLock l(mu_);
+    auto it = blocks_.find(block);
+    if (it != blocks_.end() && offset < it->second.size()) {
+      bytes = std::min<uint64_t>(n, it->second.size() - offset);
+    }
+  }
+  if (bytes == 0) return ReadEstimate{start, 0};
+  return ReadEstimate{disk_.EstimateAccess(start, block, offset, bytes),
+                      bytes};
+}
+
 Status DataNode::DeleteBlock(BlockId block) {
   MutexLock l(mu_);
   blocks_.erase(block);

@@ -71,6 +71,17 @@ class DataNode {
   Result<std::vector<std::string>> ReadBlockRanges(
       BlockId block, const std::vector<ReadRange>& ranges) const;
 
+  /// What ReadBlock(block, offset, n) issued at `start` would cost, without
+  /// charging it or touching the disk's stream table: `done` is when the
+  /// disk access would finish, `bytes` how many it would return (short at
+  /// the end of the stored block; no bytes means no disk access).
+  struct ReadEstimate {
+    sim::VirtualTime done = 0;
+    uint64_t bytes = 0;
+  };
+  ReadEstimate EstimateRead(sim::VirtualTime start, BlockId block,
+                            uint64_t offset, uint64_t n) const;
+
   Status DeleteBlock(BlockId block);
   bool HasBlock(BlockId block) const;
   Result<uint64_t> BlockSize(BlockId block) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 
 #include "src/fault/retry_policy.h"
 #include "src/obs/metrics.h"
@@ -17,6 +18,14 @@ constexpr int kNameNodeHost = 0;
 obs::Counter* MetaRpcs() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global().counter("dfs.meta.rpcs");
+  return c;
+}
+
+// Single-range reads served by a replica the completion estimate put ahead
+// of the first replica in sticky order (see SteerByCompletion).
+obs::Counter* SteeredReads() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Global().counter("dfs.pread.steered");
   return c;
 }
 
@@ -344,29 +353,86 @@ class DfsRandomAccessFile : public RandomAccessFile {
     return blocks_;
   }
 
-  // Replica preference: the local replica first (HDFS short-circuit read).
-  // Remote order is sticky per reader node — sorted, then rotated by the
-  // reader's id — so concurrent readers of a hot file spread across
-  // replicas while each reader keeps hitting the same disk. Stickiness
-  // matters: a reader that tails a file sequentially (replica catch-up,
-  // re-replication) only gets the disk's sequential-stream rate if
-  // consecutive reads land on the same replica; chasing the least-busy disk
-  // per call breaks the stream and pays full positioning every time.
-  std::vector<int> ReplicaOrder(const BlockInfo& b) const {
-    std::vector<int> order;
-    std::vector<int> remote;
+  // One replica a read may go to, and when it would finish there.
+  struct Candidate {
+    int node = 0;
+    sim::VirtualTime done = 0;
+  };
+
+  // The sticky replica order: the local replica first (HDFS short-circuit
+  // read), then the remote ones sorted and rotated by the reader's id, so
+  // concurrent readers of a hot file spread across replicas while each
+  // reader keeps hitting the same disk.
+  //
+  // Single-range reads re-sort this order by estimated completion
+  // (SteerByCompletion). Sieved sweeps (SweepReplica) keep it as is: the
+  // 2-of-3 write quorum acks at its second-fastest replica, so the third,
+  // idle disk of each block is the quorum's slack. Sweeps are long,
+  // multi-record accesses, and steering them onto remote disks took that
+  // slack away (repository benchmark, scan_after_updates: write_p99 0.78 ->
+  // 0.82 ms); splitting one sweep across replicas raised write_p99 to 22 ms.
+  std::vector<Candidate> ReplicaOrder(const BlockInfo& b) const {
+    std::vector<Candidate> order;
+    order.reserve(b.replicas.size());
     for (int r : b.replicas) {
-      if (r == client_node_) order.push_back(r);
-      else remote.push_back(r);
+      if (r == client_node_) order.push_back(Candidate{r});
     }
-    std::sort(remote.begin(), remote.end());
-    if (!remote.empty()) {
-      std::rotate(remote.begin(),
-                  remote.begin() + client_node_ % remote.size(),
-                  remote.end());
+    const size_t first_remote = order.size();
+    for (int r : b.replicas) {
+      if (r != client_node_) order.push_back(Candidate{r});
     }
-    order.insert(order.end(), remote.begin(), remote.end());
+    auto remote = order.begin() + static_cast<ptrdiff_t>(first_remote);
+    std::sort(remote, order.end(), [](const Candidate& x, const Candidate& y) {
+      return x.node < y.node;
+    });
+    if (remote != order.end()) {
+      std::rotate(remote, remote + client_node_ % (order.end() - remote),
+                  order.end());
+    }
     return order;
+  }
+
+  // Re-sorts the sticky `order` by the virtual time each replica would
+  // finish reading [offset, offset + n) of `b`: its disk's queue plus the
+  // access cost (positioning, transfer, any injected stall), then the
+  // response leg (loopback when local, RPC overhead plus wire time when
+  // remote). The estimates come from the functions that later charge the
+  // read (Resource::EstimateCompletion is Acquire's read-only twin), so the
+  // chosen replica finishes exactly when estimated unless another actor
+  // reserves the disk in between. A replica holding fewer than `n` bytes
+  // cannot finish the read and goes last (it can still supply a prefix).
+  //
+  // Ties keep the sticky order, so an idle cluster still reads locally at
+  // the local cost. The estimate prices positioning, so a read continuing a
+  // sequential stream (recovery, replica tailing, re-replication) pays no
+  // seek on the replica holding the stream and stays there unless that
+  // disk's queue outgrows a whole seek elsewhere. No replica is probed:
+  // Reachable is asked only of the replica actually tried, because a false
+  // answer uses up a per-RPC drop decision.
+  void SteerByCompletion(const BlockInfo& b, uint64_t offset, uint64_t n,
+                         std::vector<Candidate>* order) const {
+    sim::SimContext* ctx = sim::SimContext::Current();
+    if (ctx == nullptr || order->size() < 2) return;
+    for (Candidate& c : *order) {
+      DataNode::ReadEstimate disk =
+          dfs_->data_nodes_[c.node]->EstimateRead(ctx->now(), b.id, offset, n);
+      if (disk.bytes < n) {
+        c.done = std::numeric_limits<sim::VirtualTime>::max();
+      } else if (dfs_->network_ == nullptr) {
+        c.done = disk.done;
+      } else {
+        c.done = dfs_->network_->EstimateTransfer(disk.done, c.node,
+                                                  client_node_, disk.bytes);
+      }
+    }
+    // Insertion sort: stable, allocation-free, and a block has only a
+    // handful of replicas.
+    for (size_t i = 1; i < order->size(); i++) {
+      for (size_t j = i; j > 0 && (*order)[j].done < (*order)[j - 1].done;
+           j--) {
+        std::swap((*order)[j], (*order)[j - 1]);
+      }
+    }
   }
 
   // The replica `r` when it is alive and reachable; else null, with the
@@ -384,10 +450,17 @@ class DfsRandomAccessFile : public RandomAccessFile {
 
   Result<std::string> ReadFromReplica(const BlockInfo& b, uint64_t offset,
                                       uint64_t n) const {
+    obs::Counter* steered = SteeredReads();
+    std::vector<Candidate> order = ReplicaOrder(b);
+    const int sticky_first = order.empty() ? -1 : order.front().node;
+    SteerByCompletion(b, offset, n, &order);
     Status last = Status::Unavailable("no replicas");
     std::string best;
     bool have_best = false;
-    for (int r : ReplicaOrder(b)) {
+    bool ahead_of_sticky = true;  // sticky_first not reached yet
+    for (const Candidate& c : order) {
+      const int r = c.node;
+      if (r == sticky_first) ahead_of_sticky = false;
       DataNode* dn = Serving(r, &last);
       if (dn == nullptr) continue;
       auto data = dn->ReadBlock(b.id, offset, n);
@@ -395,7 +468,10 @@ class DfsRandomAccessFile : public RandomAccessFile {
         if (dfs_->network_ != nullptr) {
           dfs_->network_->Transfer(r, client_node_, data->size());
         }
-        if (data->size() >= n) return data;
+        if (data->size() >= n) {
+          if (ahead_of_sticky) steered->Add();
+          return data;
+        }
         // Short read: this replica is missing bytes the name node sealed —
         // it fell out of a quorum-acked pipeline append and has not been
         // healed yet. Its bytes are a clean prefix (appends are
@@ -421,7 +497,8 @@ class DfsRandomAccessFile : public RandomAccessFile {
                       std::vector<std::string>* out,
                       std::vector<size_t>* fallback) const {
     Status last = Status::Unavailable("no replicas");
-    for (int r : ReplicaOrder(b)) {
+    for (const Candidate& c : ReplicaOrder(b)) {
+      const int r = c.node;
       DataNode* dn = Serving(r, &last);
       if (dn == nullptr) continue;
       auto pieces = dn->ReadBlockRanges(b.id, in_block);

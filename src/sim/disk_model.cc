@@ -45,14 +45,24 @@ bool DiskModel::MatchStreamLocked(uint64_t locus, uint64_t offset,
   return sequential;
 }
 
+VirtualTime DiskModel::ServiceUs(bool sequential, uint64_t n) const {
+  VirtualTime positioning =
+      sequential ? 0 : params_.seek_us + params_.rotational_us;
+  return positioning + TransferUs(n) + stall_us();
+}
+
 VirtualTime DiskModel::AccessCost(uint64_t locus, uint64_t offset,
                                   uint64_t n, bool is_write) const {
   MutexLock l(mu_);
   uint64_t stream_key = (locus << 1) | (is_write ? 1 : 0);
-  bool sequential = streams_.count(StreamKey{stream_key, offset}) > 0;
-  VirtualTime positioning =
-      sequential ? 0 : params_.seek_us + params_.rotational_us;
-  return positioning + TransferUs(n) + stall_us();
+  return ServiceUs(streams_.count(StreamKey{stream_key, offset}) > 0, n);
+}
+
+VirtualTime DiskModel::EstimateAccess(VirtualTime start, uint64_t locus,
+                                      uint64_t offset, uint64_t n,
+                                      bool is_write) const {
+  return resource_.EstimateCompletion(
+      start, AccessCost(locus, offset, n, is_write));
 }
 
 VirtualTime DiskModel::AccessFrom(VirtualTime start, uint64_t locus,
@@ -62,10 +72,7 @@ VirtualTime DiskModel::AccessFrom(VirtualTime start, uint64_t locus,
   {
     MutexLock l(mu_);
     uint64_t stream_key = (locus << 1) | (is_write ? 1 : 0);
-    bool sequential = MatchStreamLocked(stream_key, offset, n);
-    VirtualTime positioning =
-        sequential ? 0 : params_.seek_us + params_.rotational_us;
-    cost = positioning + TransferUs(n) + stall_us();
+    cost = ServiceUs(MatchStreamLocked(stream_key, offset, n), n);
   }
   return resource_.Acquire(start, cost);
 }

@@ -69,6 +69,13 @@ class DiskModel {
   VirtualTime AccessCost(uint64_t locus, uint64_t offset, uint64_t n,
                          bool is_write = false) const;
 
+  /// The completion time AccessFrom(start, ...) would return — the disk's
+  /// queue plus AccessCost — without charging the access or touching the
+  /// stream table. Lets a reader pick the replica disk that finishes first.
+  VirtualTime EstimateAccess(VirtualTime start, uint64_t locus,
+                             uint64_t offset, uint64_t n,
+                             bool is_write = false) const;
+
   Resource* resource() { return &resource_; }
   const DiskParams& params() const { return params_; }
 
@@ -92,6 +99,9 @@ class DiskModel {
 
  private:
   VirtualTime TransferUs(uint64_t n) const;
+  /// The service time of an access: positioning unless `sequential`, then
+  /// transfer, plus any injected stall.
+  VirtualTime ServiceUs(bool sequential, uint64_t n) const;
   /// True when (locus, offset) continues a tracked stream; updates the
   /// stream table either way.
   bool MatchStreamLocked(uint64_t locus, uint64_t offset, uint64_t n)

@@ -43,8 +43,8 @@ bool NetworkModel::Reachable(int src, int dst) {
   return false;
 }
 
-VirtualTime NetworkModel::TransferFrom(VirtualTime start, int src, int dst,
-                                       uint64_t bytes) {
+VirtualTime NetworkModel::Leg(VirtualTime start, int src, int dst,
+                              uint64_t bytes, bool reserve) {
   if (src == dst) return start + params_.loopback_us;
   VirtualTime overhead = params_.rpc_overhead_us;
   NetworkFaultPolicy* policy = fault_policy();
@@ -57,9 +57,21 @@ VirtualTime NetworkModel::TransferFrom(VirtualTime start, int src, int dst,
   // reserve the NIC across the software window — under FCFS that serializes
   // stack time on the wire and caps a node at ~1/overhead RPCs per second
   // regardless of payload size.)
-  VirtualTime sent = tx_[src]->Acquire(start, wire);
-  VirtualTime received = rx_[dst]->Acquire(start, wire);
+  VirtualTime sent = reserve ? tx_[src]->Acquire(start, wire)
+                             : tx_[src]->EstimateCompletion(start, wire);
+  VirtualTime received = reserve ? rx_[dst]->Acquire(start, wire)
+                                 : rx_[dst]->EstimateCompletion(start, wire);
   return std::max(sent, received) + overhead;
+}
+
+VirtualTime NetworkModel::TransferFrom(VirtualTime start, int src, int dst,
+                                       uint64_t bytes) {
+  return Leg(start, src, dst, bytes, /*reserve=*/true);
+}
+
+VirtualTime NetworkModel::EstimateTransfer(VirtualTime start, int src,
+                                           int dst, uint64_t bytes) {
+  return Leg(start, src, dst, bytes, /*reserve=*/false);
 }
 
 void NetworkModel::Transfer(int src, int dst, uint64_t bytes) {

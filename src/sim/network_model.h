@@ -54,6 +54,11 @@ class NetworkModel {
   VirtualTime TransferFrom(VirtualTime start, int src, int dst,
                            uint64_t bytes);
 
+  /// The completion time TransferFrom(start, ...) would return, without
+  /// reserving either NIC. Does not consult Reachable.
+  VirtualTime EstimateTransfer(VirtualTime start, int src, int dst,
+                               uint64_t bytes);
+
   int num_nodes() const { return static_cast<int>(tx_.size()); }
   /// Egress (transmit) side of a node's NIC. The link is full duplex — a
   /// node streaming data out does not delay data streaming in — so each
@@ -78,6 +83,10 @@ class NetworkModel {
 
  private:
   VirtualTime TransferUs(uint64_t bytes) const;
+  /// TransferFrom when `reserve`, else its estimate: one computation for
+  /// both so they cannot drift apart.
+  VirtualTime Leg(VirtualTime start, int src, int dst, uint64_t bytes,
+                  bool reserve);
 
   const NetworkParams params_;
   std::vector<std::unique_ptr<Resource>> tx_;

@@ -1,6 +1,7 @@
 #include "src/sim/resource.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace logbase::sim {
 
@@ -11,33 +12,53 @@ namespace {
 constexpr size_t kMaxGaps = 64;
 }  // namespace
 
-VirtualTime Resource::Acquire(VirtualTime now, VirtualTime service_us) {
-  MutexLock l(mu_);
-  total_busy_ += service_us;
+Resource::Slot Resource::FindSlotLocked(VirtualTime now,
+                                        VirtualTime service_us) const {
   // First try to serve inside an idle gap left behind by a request whose
   // start time was already in this resource's future (a multi-hop chain
   // placing work downstream). Without this, one future-start reservation
   // blocks every later-arriving request at an earlier virtual time even
   // though the server is idle — short ops queue behind long chains they
   // would in reality slip ahead of.
-  for (auto it = gaps_.begin(); it != gaps_.end(); ++it) {
+  //
+  // The gaps are disjoint, so their ends ascend with their starts: no gap
+  // before the last one starting below `finish` can end late enough to hold
+  // the request, and that one only if it ends at or after `finish`. Seeking
+  // there keeps the search logarithmic in the common case (callers estimate
+  // several resources per read before acquiring one).
+  const VirtualTime finish = now + service_us;
+  auto it = gaps_.lower_bound(finish);
+  if (it != gaps_.begin() && std::prev(it)->second >= finish) --it;
+  for (; it != gaps_.end(); ++it) {
     VirtualTime begin = std::max(it->first, now);
-    if (begin + service_us > it->second) continue;
-    VirtualTime gap_start = it->first;
-    VirtualTime gap_end = it->second;
-    gaps_.erase(it);
-    if (begin > gap_start) gaps_[gap_start] = begin;
-    if (begin + service_us < gap_end) gaps_[begin + service_us] = gap_end;
-    if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
-    return begin + service_us;
+    if (begin + service_us <= it->second) return Slot{begin, it};
   }
-  VirtualTime begin = std::max(now, free_at_);
-  if (begin > free_at_) {
-    gaps_[free_at_] = begin;
-    if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
+  return Slot{std::max(now, free_at_), gaps_.end()};
+}
+
+VirtualTime Resource::EstimateCompletion(VirtualTime now,
+                                         VirtualTime service_us) const {
+  MutexLock l(mu_);
+  return FindSlotLocked(now, service_us).begin + service_us;
+}
+
+VirtualTime Resource::Acquire(VirtualTime now, VirtualTime service_us) {
+  MutexLock l(mu_);
+  total_busy_ += service_us;
+  const Slot slot = FindSlotLocked(now, service_us);
+  const VirtualTime end = slot.begin + service_us;
+  if (slot.gap != gaps_.end()) {
+    const VirtualTime gap_start = slot.gap->first;
+    const VirtualTime gap_end = slot.gap->second;
+    gaps_.erase(slot.gap);
+    if (slot.begin > gap_start) gaps_[gap_start] = slot.begin;
+    if (end < gap_end) gaps_[end] = gap_end;
+  } else {
+    if (slot.begin > free_at_) gaps_[free_at_] = slot.begin;
+    free_at_ = end;
   }
-  free_at_ = begin + service_us;
-  return free_at_;
+  if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
+  return end;
 }
 
 VirtualTime Resource::total_busy_us() const {

@@ -35,6 +35,13 @@ class Resource {
   /// later (service order follows virtual arrival time, not call order).
   VirtualTime Acquire(VirtualTime now, VirtualTime service_us);
 
+  /// The completion time the next Acquire(now, service_us) would return,
+  /// without reserving anything: the read-only twin of Acquire (one slot
+  /// search serves both). Lets a caller compare several resources before
+  /// committing to one.
+  VirtualTime EstimateCompletion(VirtualTime now,
+                                 VirtualTime service_us) const;
+
   /// Total time this resource has spent serving requests (utilization
   /// accounting for bottleneck analysis).
   VirtualTime total_busy_us() const;
@@ -49,12 +56,23 @@ class Resource {
   void Reset();
 
  private:
+  using GapMap = std::map<VirtualTime, VirtualTime>;
+
+  /// Where a request of `service_us` arriving at `now` is served: its start
+  /// time and the idle gap it fits in (gaps_.end() = at the queue tail).
+  struct Slot {
+    VirtualTime begin;
+    GapMap::const_iterator gap;
+  };
+  Slot FindSlotLocked(VirtualTime now, VirtualTime service_us) const
+      REQUIRES(mu_);
+
   mutable OrderedMutex mu_{lockrank::kSimResource, "sim.resource"};
   const std::string name_;
   VirtualTime free_at_ GUARDED_BY(mu_) = 0;
   VirtualTime total_busy_ GUARDED_BY(mu_) = 0;
   /// Idle intervals [start, end) before free_at_, ordered by start.
-  std::map<VirtualTime, VirtualTime> gaps_ GUARDED_BY(mu_);
+  GapMap gaps_ GUARDED_BY(mu_);
 };
 
 }  // namespace logbase::sim

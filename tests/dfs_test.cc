@@ -484,6 +484,264 @@ TEST(DfsRangesTest, ConcurrentTailReadersDuringAppends) {
   EXPECT_EQ(*all, data);
 }
 
+// ---------------------------------------------------------------------------
+// Load-aware replica reads: each single-range read goes to the replica that
+// would finish it first (disk queue + access cost + response leg).
+// ---------------------------------------------------------------------------
+
+constexpr sim::VirtualTime kPositioningUs = 8000 + 4150;  // default disk
+constexpr sim::VirtualTime kLoopbackUs = 15;
+constexpr sim::VirtualTime kRpcOverheadUs = 150;
+
+sim::VirtualTime DiskUs(uint64_t n) {
+  return static_cast<sim::VirtualTime>(n / 100) + 1;  // 100 MB/s, +1 us
+}
+
+sim::VirtualTime WireUs(uint64_t n) {
+  return static_cast<sim::VirtualTime>(static_cast<double>(n) / 117.0) + 1;
+}
+
+uint64_t SteeredReads() {
+  return obs::MetricsRegistry::Global().counter("dfs.pread.steered")->value();
+}
+
+/// Three nodes, each holding a replica of one block of Pattern(`size`)
+/// written by node 0 with no actor, so every disk and NIC starts idle. The
+/// sticky order of a reader on node 0 is 0, 1, 2.
+struct SteeringFixture {
+  explicit SteeringFixture(size_t size = 100000)
+      : dfs(SmallBlocks(3, 1 << 20)), data(Pattern(size)) {
+    auto wf = dfs.Create("/steer", 0);
+    EXPECT_TRUE((*wf)->Append(data).ok());
+    EXPECT_TRUE((*wf)->Sync().ok());
+    rf = std::move(*dfs.Open("/steer", 0));
+    // A zero-length read caches the block locations and touches no disk,
+    // so the measured reads below pay no metadata RPC.
+    EXPECT_TRUE(rf->Read(0, 0).ok());
+  }
+
+  /// Reads [offset, offset + n) on a fresh clock starting at `start`;
+  /// returns its completion time.
+  sim::VirtualTime TimedRead(uint64_t offset, size_t n,
+                             sim::VirtualTime start = 0) {
+    sim::SimContext ctx(start);
+    sim::SimContext::Scope scope(&ctx);
+    auto got = rf->Read(offset, n);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) EXPECT_EQ(*got, data.substr(offset, n));
+    return ctx.now();
+  }
+
+  sim::VirtualTime Busy(int node) {
+    return dfs.data_node(node)->disk()->resource()->total_busy_us();
+  }
+  /// Another actor's work queued on `node`'s disk.
+  void QueueDisk(int node, sim::VirtualTime start, sim::VirtualTime us) {
+    (void)dfs.data_node(node)->disk()->resource()->Acquire(start, us);
+  }
+
+  Dfs dfs;
+  const std::string data;
+  std::unique_ptr<RandomAccessFile> rf;
+};
+
+TEST(DfsSteeringTest, IdleClusterReadsLocallyAtUnchangedCost) {
+  SteeringFixture f;
+  const uint64_t steered = SteeredReads();
+  EXPECT_EQ(f.TimedRead(5000, 4000),
+            kPositioningUs + DiskUs(4000) + kLoopbackUs);
+  EXPECT_GT(f.Busy(0), 0);
+  EXPECT_EQ(f.Busy(1), 0);
+  EXPECT_EQ(f.Busy(2), 0);
+  EXPECT_EQ(SteeredReads(), steered);
+}
+
+// The local disk is busy for 50 ms: the read goes to the first idle remote
+// replica in sticky order and completes at remote disk + RPC overhead +
+// wire time.
+TEST(DfsSteeringTest, QueuedLocalDiskSendsReadToRemoteReplica) {
+  SteeringFixture f;
+  f.QueueDisk(0, 0, 50000);
+  const uint64_t steered = SteeredReads();
+  EXPECT_EQ(f.TimedRead(5000, 4000),
+            kPositioningUs + DiskUs(4000) + kRpcOverheadUs + WireUs(4000));
+  EXPECT_EQ(f.Busy(0), 50000);  // only the other actor's work
+  EXPECT_EQ(f.Busy(1), kPositioningUs + DiskUs(4000));
+  EXPECT_EQ(f.Busy(2), 0);
+  EXPECT_EQ(SteeredReads(), steered + 1);
+}
+
+// A sequential reader pays no positioning on the replica holding its
+// stream, so it stays there behind a queue shorter than a seek, where a
+// random read at the same queue depth moves to an idle remote disk.
+TEST(DfsSteeringTest, SequentialTailerStaysOnItsStreamReplica) {
+  SteeringFixture f;
+  const uint64_t steered = SteeredReads();
+  sim::VirtualTime t = f.TimedRead(0, 4000);
+  EXPECT_EQ(t, kPositioningUs + DiskUs(4000) + kLoopbackUs);
+  for (uint64_t off = 4000; off < 20000; off += 4000) {
+    f.QueueDisk(0, t, 5000);
+    const sim::VirtualTime next = f.TimedRead(off, 4000, t);
+    EXPECT_EQ(next, t + 5000 + DiskUs(4000) + kLoopbackUs) << off;
+    t = next;
+  }
+  EXPECT_EQ(f.Busy(1) + f.Busy(2), 0);
+  EXPECT_EQ(SteeredReads(), steered);
+
+  f.QueueDisk(0, t, 5000);
+  EXPECT_EQ(f.TimedRead(60000, 4000, t),
+            t + kPositioningUs + DiskUs(4000) + kRpcOverheadUs +
+                WireUs(4000));
+  EXPECT_EQ(SteeredReads(), steered + 1);
+}
+
+// The replica the estimate prefers (1: idle, first remote in sticky order)
+// is dead: the read falls over to the next-fastest replica, idle remote 2.
+TEST(DfsSteeringTest, DeadPreferredReplicaFailsOver) {
+  SteeringFixture f;
+  f.QueueDisk(0, 0, 50000);
+  f.dfs.KillDataNode(1);
+  EXPECT_EQ(f.TimedRead(5000, 4000),
+            kPositioningUs + DiskUs(4000) + kRpcOverheadUs + WireUs(4000));
+  EXPECT_EQ(f.Busy(1), 0);
+  EXPECT_EQ(f.Busy(2), kPositioningUs + DiskUs(4000));
+}
+
+/// Blocks one node pair and counts the reachability questions asked.
+class PairPartition : public sim::NetworkFaultPolicy {
+ public:
+  PairPartition(int a, int b) : a_(a), b_(b) {}
+  bool Reachable(int src, int dst) override {
+    asked.fetch_add(1);
+    return !((src == a_ && dst == b_) || (src == b_ && dst == a_));
+  }
+  sim::VirtualTime ExtraDelayUs(int, int) override { return 0; }
+  std::atomic<int> asked{0};
+
+ private:
+  const int a_;
+  const int b_;
+};
+
+// The preferred replica is partitioned from the reader: the read falls
+// over to replica 2, and reachability is asked only of the two replicas
+// actually tried (a false answer uses up a drop decision).
+TEST(DfsSteeringTest, PartitionedPreferredReplicaFailsOver) {
+  SteeringFixture f;
+  PairPartition partition(0, 1);
+  f.dfs.network()->set_fault_policy(&partition);
+  f.QueueDisk(0, 0, 50000);
+  EXPECT_EQ(f.TimedRead(5000, 4000),
+            kPositioningUs + DiskUs(4000) + kRpcOverheadUs + WireUs(4000));
+  f.dfs.network()->set_fault_policy(nullptr);
+  EXPECT_EQ(partition.asked.load(), 2);
+  EXPECT_EQ(f.Busy(1), 0);
+  EXPECT_EQ(f.Busy(2), kPositioningUs + DiskUs(4000));
+}
+
+// Replica 1 missed the second half of the block (a quorum-acked append while
+// it was down). It cannot finish a tail read, so it goes last and the read
+// is served whole by idle replica 2; a read it does hold still prefers it.
+// With every full replica down the read heals from the longest prefix.
+TEST(DfsSteeringTest, StaleShortReplicaIsReadAroundOrHealed) {
+  Dfs dfs(SmallBlocks(3, 1 << 20));
+  const std::string data = Pattern(20000);
+  auto wf = dfs.Create("/stale", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.KillDataNode(1);
+  ASSERT_TRUE((*wf)->Append(data.substr(10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.RestartDataNode(1);
+  auto rf = std::move(*dfs.Open("/stale", 0));
+  ASSERT_TRUE(rf->Read(0, 0).ok());
+  auto busy = [&](int node) {
+    return dfs.data_node(node)->disk()->resource()->total_busy_us();
+  };
+  (void)dfs.data_node(0)->disk()->resource()->Acquire(0, 50000);
+  auto timed_read = [&](uint64_t offset, size_t n) {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    auto got = rf->Read(offset, n);
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) EXPECT_EQ(*got, data.substr(offset, n));
+    return ctx.now();
+  };
+  const sim::VirtualTime remote =
+      kPositioningUs + DiskUs(1000) + kRpcOverheadUs + WireUs(1000);
+  EXPECT_EQ(timed_read(15000, 1000), remote);
+  EXPECT_EQ(busy(1), 0);
+  EXPECT_EQ(busy(2), kPositioningUs + DiskUs(1000));
+  // Replica 1 holds this range. Its response queues behind the first one
+  // on the reader's NIC ingress (the estimate prices that queue too).
+  EXPECT_EQ(timed_read(2000, 1000), remote + WireUs(1000));
+  EXPECT_EQ(busy(1), kPositioningUs + DiskUs(1000));
+
+  // Full replicas 0 and 2 down: the stale replica's prefix is all there is.
+  dfs.KillDataNode(0);
+  dfs.KillDataNode(2);
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  auto healed = rf->Read(9000, 2000);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(*healed, data.substr(9000, 1000));
+}
+
+// Readers on every node steer point reads (estimates reading the disk and
+// NIC queues) while an appender's replication pipeline and the other
+// readers reserve the same devices from their own threads; run under TSan.
+TEST(DfsSteeringTest, ConcurrentSteeredReadersDuringAppends) {
+  Dfs dfs(SmallBlocks(3, 4096));
+  const std::string data = Pattern(64 * 300);
+  auto wf = dfs.Create("/race", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 64)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; t++) {
+    readers.emplace_back([&, t] {
+      auto rf = dfs.Open("/race", t);
+      if (!rf.ok()) {
+        mismatches.fetch_add(1);
+        started.fetch_add(1);
+        return;
+      }
+      Random rnd(t + 1);
+      sim::SimContext ctx;
+      sim::SimContext::Scope scope(&ctx);
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t records = (*rf)->Size() / 64;
+        if (records == 0) continue;
+        const uint64_t off = 64 * rnd.Uniform(records);
+        auto piece = (*rf)->Read(off, 64);
+        if (!piece.ok() || *piece != data.substr(off, 64)) {
+          mismatches.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    for (size_t off = 64; off < data.size(); off += 64) {
+      ASSERT_TRUE((*wf)->Append(data.substr(off, 64)).ok());
+      ASSERT_TRUE((*wf)->Sync().ok());
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // FileSystem adapter behaves like the generic interface.
 TEST(DfsFileSystemTest, AdapterRoundTrip) {
   Dfs dfs(SmallBlocks(3));

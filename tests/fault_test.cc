@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/mini_cluster.h"
+#include "src/dfs/dfs.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/retry_policy.h"
 #include "src/sim/sim_context.h"
@@ -348,6 +349,52 @@ TEST(FaultInjectorTest, DiskStallAppliesAndClears) {
   EXPECT_EQ(fake.disk.stall_us(), 5000);
   ASSERT_TRUE(injector.AdvanceTo(20).ok());
   EXPECT_EQ(fake.disk.stall_us(), 0);
+}
+
+// Gray failure: an injected stall makes the reader's local disk slow but
+// not dead. Point reads are served by an idle remote replica at the remote
+// cost instead of paying the stall, and the stalled disk does no work.
+TEST(FaultInjectorTest, StalledLocalDiskIsReadAround) {
+  dfs::DfsOptions options;
+  options.num_nodes = 3;
+  options.nodes_per_rack = 2;
+  options.block_size = 1 << 20;
+  dfs::Dfs dfs(options);
+  const std::string data(100000, 'g');
+  {
+    auto wf = dfs.Create("/gray", 0);
+    ASSERT_TRUE((*wf)->Append(data).ok());
+    ASSERT_TRUE((*wf)->Sync().ok());
+  }
+  FaultTargets targets;
+  targets.num_nodes = 3;
+  targets.disk = [&dfs](int n) { return dfs.data_node(n)->disk(); };
+  targets.network = dfs.network();
+  FaultPlan plan;
+  plan.DiskStall(0, 0, 50000);
+  FaultInjector injector(targets, plan);
+  ASSERT_TRUE(injector.FireAll().ok());
+  ASSERT_EQ(dfs.data_node(0)->disk()->stall_us(), 50000);
+
+  auto rf = dfs.Open("/gray", 0);  // node 0 holds the local replica
+  ASSERT_TRUE((*rf)->Read(0, 0).ok());  // caches locations, no disk access
+  const sim::DiskParams disk;
+  const sim::NetworkParams net;
+  sim::VirtualTime start = 0;
+  for (uint64_t offset : {1000, 40000, 80000}) {
+    sim::SimContext ctx(start);
+    sim::SimContext::Scope scope(&ctx);
+    auto got = (*rf)->Read(offset, 4000);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, data.substr(offset, 4000));
+    // Remote positioning + transfer, then RPC overhead + wire time.
+    EXPECT_EQ(ctx.now() - start, disk.seek_us + disk.rotational_us +
+                                     (4000 / 100 + 1) +
+                                     net.rpc_overhead_us + (4000 / 117 + 1))
+        << offset;
+    start = ctx.now();
+  }
+  EXPECT_EQ(dfs.data_node(0)->disk()->resource()->total_busy_us(), 0);
 }
 
 TEST(FaultInjectorTest, RpcDropIsDeterministicPerSeed) {

@@ -203,6 +203,10 @@ TEST(ObsEndToEndTest, MiniClusterRoundTripReportsComponentBreakdown) {
   EXPECT_GT(snap.HistogramSum("index.probe.us"), 0.0);
   EXPECT_GT(snap.HistogramSum("dfs.pread.us"), 0.0);
   EXPECT_GT(snap.CounterValue("dfs.pread.bytes"), 0u);
+  // Reads steered off their sticky replica are reported; a serial client
+  // leaves every disk idle by the time it reads, so none are.
+  ASSERT_NE(snap.Find("dfs.pread.steered"), nullptr);
+  EXPECT_EQ(snap.CounterValue("dfs.pread.steered"), 0u);
   EXPECT_EQ(snap.CounterValue("txn.committed"), 1u);
 
   // The breakdown spans the whole stack: at least 6 distinct components
