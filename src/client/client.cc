@@ -321,23 +321,28 @@ bool IsNoReplicaServed(const Status& s) {
          s.ToString().find("no replica served") != std::string::npos;
 }
 
+bool IsUnknownReplicaTablet(const Status& s) {
+  return s.IsNotFound() &&
+         s.ToString().find("unknown replica tablet") != std::string::npos;
+}
+
 }  // namespace
 
-Result<tablet::ReadValue> LogBaseClient::ReplicaGet(const Route& route,
-                                                    const Slice& key,
-                                                    const ReadOptions& options,
-                                                    uint64_t* snapshot_ts) {
-  if (!replica_resolver_ || route.replicas.empty()) {
+Status LogBaseClient::ServeFromReplicas(
+    const std::vector<int>& replicas, const Slice& affinity,
+    const std::function<Status(replica::ReplicaServer*)>& serve) {
+  if (!replica_resolver_ || replicas.empty()) {
     return Status::NotFound("no replica served");
   }
-  // Deterministic rotation by (key, client node) spreads one tablet's reads
-  // across its replicas without coordination or randomness. The hash needs
-  // real avalanche: `start % replicas` keeps only the low bits, and a plain
-  // polynomial hash of short keys leaves those correlated with the key's
-  // last digits (all reads pile onto one replica).
+  // Deterministic rotation by (affinity, client node) spreads one tablet's
+  // reads across its replicas without coordination or randomness. The hash
+  // needs real avalanche: `start % replicas` keeps only the low bits, and a
+  // plain polynomial hash of short keys leaves those correlated with the
+  // key's last digits (all reads pile onto one replica).
   uint64_t h = static_cast<uint64_t>(node_) ^ 0x9E3779B97F4A7C15ull;
-  for (size_t i = 0; i < key.size(); i++) {
-    h = (h ^ static_cast<unsigned char>(key.data()[i])) * 0x100000001B3ull;
+  for (size_t i = 0; i < affinity.size(); i++) {
+    h = (h ^ static_cast<unsigned char>(affinity.data()[i])) *
+        0x100000001B3ull;
   }
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDull;
@@ -345,35 +350,22 @@ Result<tablet::ReadValue> LogBaseClient::ReplicaGet(const Route& route,
   size_t start = static_cast<size_t>(h);
   static obs::Counter* redirects =
       obs::MetricsRegistry::Global().counter("client.replica.redirects");
-  for (size_t i = 0; i < route.replicas.size(); i++) {
-    int replica_id = route.replicas[(start + i) % route.replicas.size()];
-    replica::ReplicaServer* rep = replica_resolver_(replica_id);
+  for (size_t i = 0; i < replicas.size(); i++) {
+    replica::ReplicaServer* rep =
+        replica_resolver_(replicas[(start + i) % replicas.size()]);
     if (rep == nullptr || !rep->running()) continue;
     if (!ServerReachable(rep->node())) continue;
-    auto read = rep->Get(route.tablet_uid, key, options.as_of,
-                         options.max_staleness_us, snapshot_ts);
-    if (read.ok()) {
-      ChargeRpc(rep->node(), key.size() + 64, read->value.size() + 32);
-      redirects->Add();
-      return read;
+    Status s = serve(rep);
+    if (IsUnknownReplicaTablet(s)) {
+      // The tablet migrated or split: the route is stale — invalidate
+      // exactly like an unknown-tablet primary response.
+      InvalidateCache();
+      continue;
     }
-    if (read.status().IsNotFound()) {
-      if (read.status().ToString().find("unknown replica tablet") !=
-          std::string::npos) {
-        // The attachment was torn down under us (the tablet migrated or
-        // split): the route is stale — invalidate exactly like an
-        // unknown-tablet primary response and try the next candidate.
-        InvalidateCache();
-        continue;
-      }
-      // The key is absent at the replica's snapshot. Authoritative under
-      // allow_stale: the snapshot is prefix-consistent by construction.
-      ChargeRpc(rep->node(), key.size() + 64, 32);
+    if (s.ok() || s.IsNotFound()) {
       redirects->Add();
-      return read.status();
+      return s;
     }
-    // Unavailable (staleness exceeded, re-seeding, crashed mid-flight):
-    // try the next replica, then the primary.
   }
   static obs::Counter* fallbacks =
       obs::MetricsRegistry::Global().counter("client.replica.fallbacks");
@@ -392,16 +384,29 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
 
     ReadResult result;
     if (options.allow_stale && !options.all_versions) {
-      uint64_t snap = 0;
-      auto read = ReplicaGet(*route, key, options, &snap);
-      if (read.ok()) {
-        result.snapshot_ts = snap;
-        result.rows.push_back(tablet::ReadRow{
-            key.ToString(), options.with_timestamp ? read->timestamp : 0,
-            std::move(read->value)});
-        return result;
-      }
-      if (!IsNoReplicaServed(read.status())) return read.status();
+      Status s = ServeFromReplicas(
+          route->replicas, key, [&](replica::ReplicaServer* rep) -> Status {
+            uint64_t snap = 0;
+            auto read = rep->Get(route->tablet_uid, key, options.as_of,
+                                 options.max_staleness_us, &snap);
+            if (read.ok()) {
+              ChargeRpc(rep->node(), key.size() + 64,
+                        read->value.size() + 32);
+              result.snapshot_ts = snap;
+              result.rows.push_back(tablet::ReadRow{
+                  key.ToString(), options.with_timestamp ? read->timestamp : 0,
+                  std::move(read->value)});
+            } else if (read.status().IsNotFound() &&
+                       !IsUnknownReplicaTablet(read.status())) {
+              // The key is absent at the replica's snapshot. Authoritative
+              // under allow_stale: the snapshot is prefix-consistent by
+              // construction.
+              ChargeRpc(rep->node(), key.size() + 64, 32);
+            }
+            return read.status();
+          });
+      if (s.ok()) return result;
+      if (!IsNoReplicaServed(s)) return s;
       // Every candidate declined — same attempt continues on the primary.
     }
 
@@ -417,10 +422,8 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
       return result;
     }
 
-    auto read = options.as_of == 0
-                    ? (*server)->Get(route->tablet_uid, key)
-                    : (*server)->GetAsOf(route->tablet_uid, key,
-                                         options.as_of);
+    auto read = (*server)->Get(route->tablet_uid, key,
+                               options.as_of == 0 ? ~0ull : options.as_of);
     if (!read.ok()) return NormalizeServerStatus(read.status());
     ChargeRpc(route->server_id, key.size() + 64, read->value.size() + 32);
     result.rows.push_back(tablet::ReadRow{
@@ -431,18 +434,7 @@ Result<ReadResult> LogBaseClient::Get(const std::string& table,
 }
 
 std::vector<tablet::ReadRow> QueryResult::ToRows() const {
-  std::vector<tablet::ReadRow> rows;
-  for (const query::ColumnBatch& batch : batches) {
-    const query::BatchColumn* raw = batch.Find(query::kRawValueColumn);
-    for (size_t i = 0; i < batch.NumRows(); i++) {
-      tablet::ReadRow row;
-      row.key = batch.keys[i];
-      row.timestamp = batch.timestamps[i];
-      if (raw != nullptr && raw->present[i] != 0) row.value = raw->cells[i];
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
+  return tablet::RowsFromBatches(batches);
 }
 
 Result<std::vector<tablet::ReadRow>> LogBaseClient::Scan(
@@ -478,50 +470,28 @@ Result<query::TabletResult> LogBaseClient::QueryTablet(
   fault::RetryPolicy policy(per_tablet);
   return policy.Run<query::TabletResult>(
       "client.query_tablet", [&]() -> Result<query::TabletResult> {
-        // Replica-preferring routing, like ReplicaGet: rotate by (tablet,
-        // client node) so one tablet's queries spread across its replicas,
-        // fall back to the primary when every candidate declines.
-        if (options.read.allow_stale && replica_resolver_ &&
-            !location.replicas.empty()) {
-          uint64_t h = static_cast<uint64_t>(node_) ^ 0x9E3779B97F4A7C15ull;
+        // Replica-preferring routing: rotate by (tablet, client node) so
+        // one tablet's queries spread across its replicas; fall back to the
+        // primary when every candidate declines.
+        if (options.read.allow_stale) {
           const std::string uid = d.uid();
-          for (char c : uid) {
-            h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+          query::TabletResult part;
+          Status s = ServeFromReplicas(
+              location.replicas, uid,
+              [&](replica::ReplicaServer* rep) -> Status {
+                auto served =
+                    rep->ExecuteScan(uid, wire_plan, options.read.as_of,
+                                     options.read.max_staleness_us, exec);
+                if (!served.ok()) return served.status();
+                ChargeRpc(rep->node(), wire_plan.size() + 64,
+                          served->stats.bytes_shipped + 32);
+                part = std::move(*served);
+                return Status::OK();
+              });
+          if (s.ok()) {
+            *from_replica = true;
+            return part;
           }
-          h ^= h >> 33;
-          size_t start = static_cast<size_t>(h);
-          static obs::Counter* redirects = obs::MetricsRegistry::Global()
-              .counter("client.replica.redirects");
-          for (size_t i = 0; i < location.replicas.size(); i++) {
-            int replica_id =
-                location.replicas[(start + i) % location.replicas.size()];
-            replica::ReplicaServer* rep = replica_resolver_(replica_id);
-            if (rep == nullptr || !rep->running()) continue;
-            if (!ServerReachable(rep->node())) continue;
-            auto part =
-                rep->ExecuteScan(uid, wire_plan, options.read.as_of,
-                                 options.read.max_staleness_us, exec);
-            if (part.ok()) {
-              ChargeRpc(rep->node(), wire_plan.size() + 64,
-                        part->stats.bytes_shipped + 32);
-              redirects->Add();
-              *from_replica = true;
-              return part;
-            }
-            if (part.status().IsNotFound() &&
-                part.status().ToString().find("unknown replica tablet") !=
-                    std::string::npos) {
-              // Torn down under us (migration/split): stale route, same as
-              // an unknown-tablet primary response; try the next candidate.
-              InvalidateCache();
-              continue;
-            }
-            // Staleness exceeded / re-seeding / crashed mid-flight: next
-            // candidate, then the primary.
-          }
-          static obs::Counter* fallbacks = obs::MetricsRegistry::Global()
-              .counter("client.replica.fallbacks");
-          fallbacks->Add();
         }
         if (!ServerReachable(location.server_id)) {
           return Status::Unavailable("tablet server unreachable (partition)");

@@ -325,15 +325,20 @@ class LogBaseClient {
   };
   Result<Route> Resolve(const std::string& table, uint32_t column_group,
                         const Slice& key);
-  /// Replica-side Get for one resolved route. Returns the served row (and
-  /// snapshot) on success; NotFound("no replica served") when every
-  /// candidate declined so the caller falls through to the primary (a
-  /// torn-down replica also invalidates the route cache on the way).
-  Result<tablet::ReadValue> ReplicaGet(const Route& route, const Slice& key,
-                                       const ReadOptions& options,
-                                       uint64_t* snapshot_ts);
-  /// One tablet's slice of a Query: replica-preferring routing (mirrors
-  /// ReplicaGet's rotation + fallback) with a per-tablet retry budget.
+  /// Serves one read from a tablet's read replicas: tries `replicas` in a
+  /// rotation picked by hashing (client node, `affinity`), skipping down or
+  /// unreachable ones, and runs `serve` on each candidate until one serves.
+  /// OK: served. An "unknown replica tablet" answer (the attachment was torn
+  /// down under us) invalidates the route cache and tries the next; any
+  /// other NotFound is authoritative and returned; other failures
+  /// (staleness, reseeding, crashed mid-flight) try the next. NotFound("no
+  /// replica served") when every candidate declined, so the caller falls
+  /// through to the primary.
+  Status ServeFromReplicas(
+      const std::vector<int>& replicas, const Slice& affinity,
+      const std::function<Status(replica::ReplicaServer*)>& serve);
+  /// One tablet's slice of a Query: replica-preferring routing
+  /// (ServeFromReplicas) with a per-tablet retry budget.
   /// `wire_plan` is the already-encoded plan — encoded once per Query, the
   /// same bytes shipped to every server. Sets `*from_replica` when a replica
   /// served the slice.

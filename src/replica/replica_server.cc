@@ -5,7 +5,6 @@
 #include "src/index/blink_tree.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/costs.h"
 #include "src/sim/sim_context.h"
 #include "src/util/logging.h"
 
@@ -46,12 +45,6 @@ void ReplicaServer::Crash() {
   // Same teardown as Stop: a replica is pure soft state, so a crash and a
   // graceful shutdown lose exactly the same thing (nothing durable).
   (void)Stop();
-}
-
-std::string ReplicaServer::BufferPrefix(const std::string& uid) const {
-  std::string prefix = uid;
-  prefix.push_back('\0');
-  return prefix;
 }
 
 Result<log::LogReader*> ReplicaServer::ReaderForLocked(uint32_t instance) {
@@ -98,15 +91,14 @@ Status ReplicaServer::SeedTabletLocked(
 }
 
 Status ReplicaServer::PollLocked(const std::string& uid, ReplicatedTablet* t) {
-  const std::string prefix = BufferPrefix(uid);
   const uint64_t read_before = t->cursor->records_read();
   LOGBASE_RETURN_NOT_OK(
       t->cursor->Poll([&](const tablet::ReplayCursor::Op& op) -> Status {
         LOGBASE_RETURN_NOT_OK(tablet::ApplyCommitted(op));
         if (op.is_delete) {
-          buffer_.Invalidate(prefix + op.key);
+          buffer_.Invalidate(tablet::BufferKey(uid, op.key));
         } else {
-          buffer_.Put(prefix + op.key,
+          buffer_.Put(tablet::BufferKey(uid, op.key),
                       tablet::CachedRecord{op.timestamp, op.value});
         }
         t->max_applied_ts = std::max(t->max_applied_ts, op.timestamp);
@@ -169,10 +161,14 @@ Status ReplicaServer::TickTailers() {
   return Status::OK();
 }
 
-Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
-                                          uint64_t as_of,
-                                          int64_t max_staleness_us,
-                                          uint64_t* effective_ts) const {
+Result<ReplicaServer::ReplicatedTablet*> ReplicaServer::SnapshotBoundLocked(
+    const std::string& uid, uint64_t as_of, int64_t max_staleness_us,
+    uint64_t* effective_ts) {
+  auto it = tablets_.find(uid);
+  if (it == tablets_.end()) {
+    return Status::NotFound("unknown replica tablet: " + uid);
+  }
+  ReplicatedTablet& t = it->second;
   if (max_staleness_us > 0) {
     int64_t staleness = sim::CurrentVirtualTime() - t.last_sync_us;
     if (staleness > max_staleness_us) {
@@ -184,39 +180,28 @@ Status ReplicaServer::SnapshotBoundLocked(const ReplicatedTablet& t,
   }
   uint64_t requested = as_of == 0 ? ~0ull : as_of;
   *effective_ts = std::min(requested, WatermarkOf(t));
-  return Status::OK();
+  return &t;
 }
 
-Status ReplicaServer::StalePointerLocked(ReplicatedTablet* t) {
-  // A pointer no longer resolves: the source compacted the segment away
-  // since we indexed it. Rebuild from the compaction's checkpoint on the
-  // next tick; the caller retries (and falls back to the primary).
-  t->needs_reseed = true;
-  return Status::Unavailable("replica log pointer stale; reseeding");
-}
-
-Result<std::string> ReplicaServer::FetchValueLocked(
-    ReplicatedTablet* t, const index::IndexEntry& entry) {
-  obs::Span span("log.read");
-  auto reader = ReaderForLocked(entry.ptr.instance);
-  if (!reader.ok()) return reader.status();
-  auto record = (*reader)->Read(entry.ptr);
-  if (!record.ok()) return StalePointerLocked(t);
-  sim::ChargeCpu(sim::costs::kRecordCodecUs);
-  if (record->row.timestamp != entry.timestamp) {
-    return Status::Corruption("replica index points at wrong record version");
-  }
-  return std::move(record->value);
-}
-
-Result<std::vector<log::LogRecord>> ReplicaServer::ReadManyLocked(
-    ReplicatedTablet* t, uint32_t instance,
-    const std::vector<log::LogPtr>& ptrs) {
-  auto reader = ReaderForLocked(instance);
-  if (!reader.ok()) return reader.status();
-  auto records = (*reader)->ReadMany(ptrs);
-  if (!records.ok()) return StalePointerLocked(t);
-  return records;
+tablet::LogAccess ReplicaServer::LogAccessLocked(ReplicatedTablet* t) {
+  // The shared read path calls this synchronously, inside the caller's
+  // MutexLock on mu_; the analysis cannot follow the std::function
+  // boundary.
+  return [this, t](uint32_t instance, const tablet::LogReadOp& op)
+             NO_THREAD_SAFETY_ANALYSIS {
+               auto reader = ReaderForLocked(instance);
+               if (!reader.ok()) return reader.status();
+               if (!op(*reader).ok()) {
+                 // The pointer no longer resolves: the source compacted the
+                 // segment away since we indexed it. Rebuild from the
+                 // compaction's checkpoint on the next tick; the caller
+                 // retries (and falls back to the primary).
+                 t->needs_reseed = true;
+                 return Status::Unavailable(
+                     "replica log pointer stale; reseeding");
+               }
+               return Status::OK();
+             };
 }
 
 Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
@@ -229,42 +214,27 @@ Result<tablet::ReadValue> ReplicaServer::Get(const std::string& uid,
   // primary front doors: a shed op never partially applies).
   LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, key.size()));
   MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = it->second;
-
   uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
+  auto t = SnapshotBoundLocked(uid, as_of, max_staleness_us, &effective_ts);
+  if (!t.ok()) return t.status();
   if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
 
-  static obs::Counter* served = ReplicaCounter("replica.read.served");
   static obs::HistogramMetric* staleness =
       obs::MetricsRegistry::Global().histogram("replica.read.staleness_us");
   staleness->Observe(static_cast<double>(
-      sim::CurrentVirtualTime() - t.last_sync_us));
+      sim::CurrentVirtualTime() - (*t)->last_sync_us));
 
-  // The buffer holds the latest applied version; it answers only when that
-  // version is already visible at the snapshot.
-  tablet::CachedRecord cached;
-  if (buffer_.Get(BufferPrefix(uid) + key.ToString(), &cached) &&
-      cached.timestamp <= effective_ts) {
-    served->Add();
-    return tablet::ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return t.index->GetAsOf(key, effective_ts);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchValueLocked(&t, *entry);
-  if (!value.ok()) return value.status();
-  buffer_.Put(BufferPrefix(uid) + key.ToString(),
-              tablet::CachedRecord{entry->timestamp, *value});
+  // Only when no applied version lies above the snapshot is the fetched
+  // version its key's newest, so only then may it be cached.
+  const tablet::LogAccess logs = LogAccessLocked(*t);
+  auto read = tablet::ReadPoint(
+      tablet::ReadContext{&buffer_, Slice(uid), (*t)->index.get(), &logs},
+      key, effective_ts,
+      /*cacheable=*/effective_ts >= (*t)->max_applied_ts);
+  if (!read.ok()) return read.status();
+  static obs::Counter* served = ReplicaCounter("replica.read.served");
   served->Add();
-  return tablet::ReadValue{entry->timestamp, std::move(*value)};
+  return read;
 }
 
 Result<query::TabletResult> ReplicaServer::ExecuteScan(
@@ -275,45 +245,18 @@ Result<query::TabletResult> ReplicaServer::ExecuteScan(
   if (!running()) return Status::Unavailable("replica server is down");
   LOGBASE_RETURN_NOT_OK(admission_.Admit(uid, 1, encoded_plan.size()));
   MutexLock l(mu_);
-  auto it = tablets_.find(uid);
-  if (it == tablets_.end()) {
-    return Status::NotFound("unknown replica tablet: " + uid);
-  }
-  ReplicatedTablet& t = it->second;
-
   uint64_t effective_ts = 0;
-  LOGBASE_RETURN_NOT_OK(
-      SnapshotBoundLocked(t, as_of, max_staleness_us, &effective_ts));
+  auto t = SnapshotBoundLocked(uid, as_of, max_staleness_us, &effective_ts);
+  if (!t.ok()) return t.status();
   if (snapshot_ts != nullptr) *snapshot_ts = effective_ts;
 
-  auto plan = query::QueryPlan::Decode(encoded_plan);
-  if (!plan.ok()) return plan.status();
-
-  std::vector<index::IndexEntry> entries = t.index->ScanRange(
-      Slice(plan->start_key), Slice(plan->end_key), effective_ts);
-  // Chunks are fetched under mu_ like Get: buffered exact versions first,
-  // then one sieved sweep for the misses (ReadManyLocked flags stale log
-  // pointers for reseed). Only when no applied version lies above the
-  // snapshot are the fetched versions each key's newest, so only then may
-  // they be cached.
-  const bool cacheable = effective_ts >= t.max_applied_ts;
-  auto fetch = [&](std::span<const index::IndexEntry> chunk)
-      -> Result<std::vector<std::string>> {
-    return tablet::FetchChunk(
-        &buffer_, BufferPrefix(uid), chunk,
-        // FetchChunk calls this synchronously, inside this function's
-        // MutexLock on mu_; the analysis cannot follow the std::function
-        // boundary.
-        [&](uint32_t instance, const std::vector<log::LogPtr>& ptrs)
-            NO_THREAD_SAFETY_ANALYSIS {
-              return ReadManyLocked(&t, instance, ptrs);
-            },
-        cacheable);
-  };
-  auto result =
-      query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);
+  // Same caching rule as Get.
+  const tablet::LogAccess logs = LogAccessLocked(*t);
+  auto result = tablet::ScanPlan(
+      tablet::ReadContext{&buffer_, Slice(uid), (*t)->index.get(), &logs},
+      encoded_plan, effective_ts, options.batch_rows,
+      /*cacheable=*/effective_ts >= (*t)->max_applied_ts);
   if (!result.ok()) return result.status();
-  query::RecordScanMetrics(result->stats);
   static obs::Counter* served = ReplicaCounter("replica.read.served");
   served->Add();
   return result;

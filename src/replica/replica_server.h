@@ -155,22 +155,18 @@ class ReplicaServer {
   /// to the primary meanwhile.
   static uint64_t WatermarkOf(const ReplicatedTablet& t);
   Result<log::LogReader*> ReaderForLocked(uint32_t instance) REQUIRES(mu_);
-  std::string BufferPrefix(const std::string& uid) const;
-  /// Staleness gate + snapshot clamp shared by Get and ExecuteScan; fills
-  /// `effective_ts`.
-  Status SnapshotBoundLocked(const ReplicatedTablet& t, uint64_t as_of,
-                             int64_t max_staleness_us,
-                             uint64_t* effective_ts) const REQUIRES(mu_);
-  /// Flags `t` for reseed after a log read failed; returns Unavailable.
-  Status StalePointerLocked(ReplicatedTablet* t) REQUIRES(mu_);
-  /// One sieved ReadMany against `instance`'s log; a failure flags the
-  /// tablet for reseed and reads as Unavailable.
-  Result<std::vector<log::LogRecord>> ReadManyLocked(
-      ReplicatedTablet* t, uint32_t instance,
-      const std::vector<log::LogPtr>& ptrs) REQUIRES(mu_);
-  Result<std::string> FetchValueLocked(ReplicatedTablet* t,
-                                       const index::IndexEntry& entry)
+  /// The replicated tablet `uid` and the snapshot a read at `as_of` gets
+  /// from it (`effective_ts`), after the staleness gate; shared by Get and
+  /// ExecuteScan.
+  Result<ReplicatedTablet*> SnapshotBoundLocked(const std::string& uid,
+                                                uint64_t as_of,
+                                                int64_t max_staleness_us,
+                                                uint64_t* effective_ts)
       REQUIRES(mu_);
+  /// `t`'s log access for the shared read path (point and range reads
+  /// alike): a read that fails flags `t` for reseed and reads as
+  /// Unavailable.
+  tablet::LogAccess LogAccessLocked(ReplicatedTablet* t) REQUIRES(mu_);
 
   ReplicaServerOptions options_;  // fixed after construction
   dfs::Dfs* const dfs_;

@@ -54,7 +54,12 @@ TabletServer::TabletServer(TabletServerOptions options, dfs::Dfs* dfs,
       quota_registry_(coord, options_.server_id, options_.quota_registry),
       admission_(options_.admission, &quota_registry_),
       fs_(std::make_unique<dfs::DfsFileSystem>(dfs, options_.server_id)),
-      buffer_(options_.read_buffer_bytes, MakeLruPolicy()) {
+      buffer_(options_.read_buffer_bytes, MakeLruPolicy()),
+      logs_([this](uint32_t instance, const LogReadOp& op) -> Status {
+        auto reader = ReaderFor(instance);
+        if (!reader.ok()) return reader.status();
+        return op(*reader);
+      }) {
   writer_ = std::make_unique<log::LogWriter>(
       fs_.get(), log_dir(), options_.server_id, options_.segment_bytes,
       options_.group_commit);
@@ -362,14 +367,6 @@ void TabletServer::AdvanceTimestampsBeyond(uint64_t ts) {
   ts_next_ = ts_limit_ = 0;
 }
 
-std::string TabletServer::BufferKey(const std::string& tablet_uid,
-                                    const Slice& key) const {
-  std::string buffer_key = tablet_uid;
-  buffer_key.push_back('\0');
-  buffer_key.append(key.data(), key.size());
-  return buffer_key;
-}
-
 Status TabletServer::MaybeAutoCheckpoint(Tablet* tablet) {
   if (options_.checkpoint_update_threshold == 0) return Status::OK();
   if (tablet->updates_since_persist() <
@@ -470,87 +467,32 @@ Status TabletServer::CompleteWrite(PendingWrite* pending) {
   return MaybeAutoCheckpoint(tablet);
 }
 
-Result<std::string> TabletServer::FetchRecordValue(const log::LogPtr& ptr,
-                                                   uint64_t expect_ts) {
-  obs::Span span("log.read");
-  auto reader = ReaderFor(ptr.instance);
-  if (!reader.ok()) return reader.status();
-  auto record = (*reader)->Read(ptr);
-  if (!record.ok()) return record.status();
-  sim::ChargeCpu(sim::costs::kRecordCodecUs);
-  if (record->row.timestamp != expect_ts) {
-    return Status::Corruption("index points at wrong record version");
-  }
-  return std::move(record->value);
+Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
+                                    const Slice& key, uint64_t as_of) {
+  obs::Span span("tablet.get");
+  if (!running()) return Status::Unavailable("tablet server is down");
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
+  Tablet* tablet = FindTablet(tablet_uid);
+  if (tablet == nullptr) return Status::NotFound("unknown tablet");
+
+  auto read = ReadPoint(ReadContextFor(tablet_uid, tablet), key, as_of,
+                        /*cacheable=*/as_of == ~0ull);
+  if (read.ok()) tablet->RecordRead(key.size() + read->value.size());
+  return read;
 }
 
-Result<std::vector<std::string>> FetchChunk(
-    ReadBuffer* buffer, const std::string& buffer_prefix,
-    std::span<const index::IndexEntry> entries, const LogBatchRead& read,
-    bool fill_buffer) {
-  std::vector<std::string> values(entries.size());
-  // Buffer misses per log instance: entry positions and their pointers.
-  struct Misses {
-    std::vector<size_t> at;
-    std::vector<log::LogPtr> ptrs;
-  };
-  std::map<uint32_t, Misses> misses;
-  for (size_t i = 0; i < entries.size(); i++) {
-    CachedRecord cached;
-    if (buffer->GetVersion(buffer_prefix + entries[i].key,
-                           entries[i].timestamp, &cached)) {
-      values[i] = std::move(cached.value);
-      continue;
-    }
-    Misses& m = misses[entries[i].ptr.instance];
-    m.at.push_back(i);
-    m.ptrs.push_back(entries[i].ptr);
-  }
-  for (auto& [instance, m] : misses) {
-    Result<std::vector<log::LogRecord>> records = [&] {
-      obs::Span span("log.read");
-      auto fetched = read(instance, m.ptrs);
-      if (fetched.ok()) {
-        sim::ChargeCpu(static_cast<sim::VirtualTime>(fetched->size()) *
-                       sim::costs::kRecordCodecUs);
-      }
-      return fetched;
-    }();
-    if (!records.ok()) return records.status();
-    for (size_t k = 0; k < m.at.size(); k++) {
-      const index::IndexEntry& entry = entries[m.at[k]];
-      log::LogRecord& record = (*records)[k];
-      if (record.row.timestamp != entry.timestamp) {
-        return Status::Corruption("index points at wrong record version");
-      }
-      if (fill_buffer) {
-        buffer->Put(buffer_prefix + entry.key,
-                    CachedRecord{entry.timestamp, record.value});
-      }
-      values[m.at[k]] = std::move(record.value);
-    }
-  }
-  return values;
-}
+Result<std::vector<ReadRow>> TabletServer::GetVersions(
+    const std::string& tablet_uid, const Slice& key) {
+  if (!running()) return Status::Unavailable("tablet server is down");
+  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
+  Tablet* tablet = FindTablet(tablet_uid);
+  if (tablet == nullptr) return Status::NotFound("unknown tablet");
 
-Result<std::vector<std::string>> TabletServer::FetchValues(
-    const std::string& tablet_uid, std::span<const index::IndexEntry> entries,
-    bool fill_buffer) {
-  return FetchChunk(
-      &buffer_, BufferKey(tablet_uid, Slice()), entries,
-      [this](uint32_t instance, const std::vector<log::LogPtr>& ptrs)
-          -> Result<std::vector<log::LogRecord>> {
-        auto reader = ReaderFor(instance);
-        if (!reader.ok()) return reader.status();
-        return (*reader)->ReadMany(ptrs);
-      },
-      fill_buffer);
-}
-
-Result<std::vector<ReadRow>> TabletServer::FetchRows(
-    Tablet* tablet, const std::string& tablet_uid,
-    const std::vector<index::IndexEntry>& entries) {
-  auto values = FetchValues(tablet_uid, entries, /*fill_buffer=*/false);
+  const std::vector<index::IndexEntry> entries =
+      tablet->index()->GetAllVersions(key);
+  // Older versions are never cached: the buffer holds newest versions only.
+  auto values = FetchChunk(ReadContextFor(tablet_uid, tablet), entries,
+                           /*cacheable=*/false);
   if (!values.ok()) return values.status();
   std::vector<ReadRow> rows;
   rows.reserve(entries.size());
@@ -562,68 +504,6 @@ Result<std::vector<ReadRow>> TabletServer::FetchRows(
   }
   tablet->RecordRead(bytes);
   return rows;
-}
-
-Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
-                                    const Slice& key) {
-  obs::Span span("tablet.get");
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  CachedRecord cached;
-  if (buffer_.Get(BufferKey(tablet_uid, key), &cached)) {
-    tablet->RecordRead(key.size() + cached.value.size());
-    return ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->GetLatest(key);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchRecordValue(entry->ptr, entry->timestamp);
-  if (!value.ok()) return value.status();
-  tablet->RecordRead(key.size() + value->size());
-  buffer_.Put(BufferKey(tablet_uid, key),
-              CachedRecord{entry->timestamp, *value});
-  return ReadValue{entry->timestamp, std::move(*value)};
-}
-
-Result<ReadValue> TabletServer::GetAsOf(const std::string& tablet_uid,
-                                        const Slice& key, uint64_t as_of) {
-  obs::Span span("tablet.get");
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  // The buffer holds the latest version; it answers historical reads only
-  // when that latest version is already visible at `as_of`.
-  CachedRecord cached;
-  if (buffer_.Get(BufferKey(tablet_uid, key), &cached) &&
-      cached.timestamp <= as_of) {
-    return ReadValue{cached.timestamp, std::move(cached.value)};
-  }
-  Result<index::IndexEntry> entry = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->GetAsOf(key, as_of);
-  }();
-  if (!entry.ok()) return entry.status();
-  auto value = FetchRecordValue(entry->ptr, entry->timestamp);
-  if (!value.ok()) return value.status();
-  tablet->RecordRead(key.size() + value->size());
-  return ReadValue{entry->timestamp, std::move(*value)};
-}
-
-Result<std::vector<ReadRow>> TabletServer::GetVersions(
-    const std::string& tablet_uid, const Slice& key) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  return FetchRows(tablet, tablet_uid, tablet->index()->GetAllVersions(key));
 }
 
 Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
@@ -657,21 +537,6 @@ Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
   return Status::OK();
 }
 
-Result<std::vector<ReadRow>> TabletServer::Scan(const std::string& tablet_uid,
-                                                const Slice& start_key,
-                                                const Slice& end_key,
-                                                uint64_t as_of) {
-  obs::Span span("tablet.scan");
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(tablet_uid, 1, start_key.size() + end_key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
-  return FetchRows(tablet, tablet_uid,
-                   tablet->index()->ScanRange(start_key, end_key, as_of));
-}
-
 Result<query::TabletResult> TabletServer::ExecuteScan(
     const std::string& tablet_uid, const Slice& encoded_plan,
     const query::ExecOptions& options) {
@@ -681,34 +546,12 @@ Result<query::TabletResult> TabletServer::ExecuteScan(
       admission_.Admit(tablet_uid, 1, encoded_plan.size()));
   Tablet* tablet = FindTablet(tablet_uid);
   if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  auto plan = query::QueryPlan::Decode(encoded_plan);
-  if (!plan.ok()) return plan.status();
-
-  std::vector<index::IndexEntry> entries = [&] {
-    obs::Span probe("index.probe");
-    return tablet->index()->ScanRange(Slice(plan->start_key),
-                                      Slice(plan->end_key), options.as_of);
-  }();
-  // Only latest-snapshot executions may populate the read buffer: it holds
-  // the newest version per key, and caching an as-of version would serve
-  // stale data to later Gets.
-  const bool cacheable = options.as_of == ~0ull;
   uint64_t scanned_bytes = 0;
-  auto fetch = [&](std::span<const index::IndexEntry> chunk)
-      -> Result<std::vector<std::string>> {
-    auto values = FetchValues(tablet_uid, chunk, cacheable);
-    if (values.ok()) {
-      for (size_t i = 0; i < chunk.size(); i++) {
-        scanned_bytes += chunk[i].key.size() + (*values)[i].size();
-      }
-    }
-    return values;
-  };
-  auto result =
-      query::ExecuteOverEntries(*plan, entries, fetch, options.batch_rows);
+  auto result = ScanPlan(ReadContextFor(tablet_uid, tablet), encoded_plan,
+                         options.as_of, options.batch_rows,
+                         /*cacheable=*/options.as_of == ~0ull, &scanned_bytes);
   if (!result.ok()) return result.status();
   tablet->RecordRead(scanned_bytes);
-  query::RecordScanMetrics(result->stats);
   return result;
 }
 
@@ -842,7 +685,8 @@ Status TabletServer::CreateSecondaryIndex(const std::string& tablet_uid,
   for (size_t base = 0; base < entries.size(); base += chunk_rows) {
     auto chunk = std::span<const index::IndexEntry>(entries).subspan(
         base, std::min(chunk_rows, entries.size() - base));
-    auto values = FetchValues(tablet_uid, chunk, /*fill_buffer=*/false);
+    auto values = FetchChunk(ReadContextFor(tablet_uid, tablet), chunk,
+                             /*cacheable=*/false);
     if (!values.ok()) return values.status();
     for (size_t i = 0; i < chunk.size(); i++) {
       LOGBASE_RETURN_NOT_OK(index->OnWrite(
@@ -869,7 +713,7 @@ Result<std::vector<ReadRow>> TabletServer::LookupBySecondary(
     if (!seen.insert(match.primary_key).second) continue;
     // Verify the candidate: its value at `as_of` must still map to the
     // queried secondary key (the entry may predate an attribute change).
-    auto read = GetAsOf(tablet_uid, Slice(match.primary_key), as_of);
+    auto read = Get(tablet_uid, Slice(match.primary_key), as_of);
     if (!read.ok()) {
       if (read.status().IsNotFound()) continue;
       return read.status();

@@ -8,11 +8,9 @@
 #define LOGBASE_TABLET_TABLET_SERVER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "src/qos/quota_registry.h"
 #include "src/query/executor.h"
 #include "src/tablet/read_buffer.h"
+#include "src/tablet/read_path.h"
 #include "src/tablet/tablet.h"
 
 #include "src/util/ordered_mutex.h"
@@ -52,19 +51,6 @@ struct TabletServerOptions {
   /// Multi-tenant QoS at the front door (src/qos/): disabled by default.
   qos::AdmissionOptions admission;
   qos::TenantQuotaRegistry::Options quota_registry;
-};
-
-/// A read result: the version (write timestamp) and value.
-struct ReadValue {
-  uint64_t timestamp = 0;
-  std::string value;
-};
-
-/// A row surfaced by a scan.
-struct ReadRow {
-  std::string key;
-  uint64_t timestamp = 0;
-  std::string value;
 };
 
 struct CompactionOptions {
@@ -117,23 +103,6 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
                                           const TabletDescriptor& descriptor,
                                           index::MultiVersionIndex* dest,
                                           RecoveryStats* stats = nullptr);
-
-/// Reads the records at `ptrs`, all in log instance `instance`, as one
-/// sieved sweep (log::LogReader::ReadMany); the caller picks the reader and
-/// maps its failures.
-using LogBatchRead = std::function<Result<std::vector<log::LogRecord>>(
-    uint32_t instance, const std::vector<log::LogPtr>& ptrs)>;
-
-/// The scan-chunk fetch primaries and replicas share. An entry whose exact
-/// version is cached in `buffer` (under `buffer_prefix` + key) is served
-/// from it; the misses are read with one `read` per log instance, and each
-/// fetched record must carry its entry's timestamp (Corruption otherwise).
-/// With `fill_buffer` (latest-snapshot reads only: the buffer holds newest
-/// versions) fetched values are cached. Values come back in entry order.
-Result<std::vector<std::string>> FetchChunk(
-    ReadBuffer* buffer, const std::string& buffer_prefix,
-    std::span<const index::IndexEntry> entries, const LogBatchRead& read,
-    bool fill_buffer);
 
 /// An in-flight asynchronous write: the log ticket plus everything needed
 /// to publish the write once its group-commit batch is durable. Obtained
@@ -223,18 +192,15 @@ class TabletServer {
   /// returns OK may the write be acknowledged to a client (invariant I1:
   /// acked writes survive crashes).
   Status CompleteWrite(PendingWrite* pending);
-  Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key);
-  Result<ReadValue> GetAsOf(const std::string& tablet_uid, const Slice& key,
-                            uint64_t as_of);
+  /// Point read at `as_of` (latest by default) through the shared read
+  /// path (read_path.h); only latest reads fill the read buffer.
+  Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key,
+                        uint64_t as_of = ~0ull);
   /// All versions of a key, newest first (multiversion access).
   Result<std::vector<ReadRow>> GetVersions(const std::string& tablet_uid,
                                            const Slice& key);
   Status Delete(const std::string& tablet_uid, const Slice& key,
                 log::AckMode ack = log::AckMode::kQuorum);
-  Result<std::vector<ReadRow>> Scan(const std::string& tablet_uid,
-                                    const Slice& start_key,
-                                    const Slice& end_key,
-                                    uint64_t as_of = ~0ull);
   /// Full scan with index version check (§3.6.4): returns the number of
   /// records whose stored version is current.
   Result<uint64_t> FullScanCount(const std::string& tablet_uid);
@@ -247,7 +213,8 @@ class TabletServer {
   /// (exactly what the RPC layer delivers); value fetches go through the
   /// read buffer first, so warm scans skip the log entirely. Historical
   /// executions (`options.as_of`) never populate the buffer — it holds only
-  /// latest versions.
+  /// latest versions. A match-all plan is the row scan: its raw-value
+  /// batches convert back to rows with RowsFromBatches.
   Result<query::TabletResult> ExecuteScan(
       const std::string& tablet_uid, const Slice& encoded_plan,
       const query::ExecOptions& options = {});
@@ -339,19 +306,11 @@ class TabletServer {
 
   Result<std::unique_ptr<index::MultiVersionIndex>> NewIndex(
       const std::string& uid);
-  /// Point-read fetch: one log record, checked against `expect_ts`.
-  Result<std::string> FetchRecordValue(const log::LogPtr& ptr,
-                                       uint64_t expect_ts);
-  /// Range-read fetch: FetchChunk over this server's read buffer and logs.
-  Result<std::vector<std::string>> FetchValues(
-      const std::string& tablet_uid,
-      std::span<const index::IndexEntry> entries, bool fill_buffer);
-  /// Scan/GetVersions result rows for `entries` (never cached: they may be
-  /// historical versions); charges the bytes to the tablet's read load.
-  Result<std::vector<ReadRow>> FetchRows(
-      Tablet* tablet, const std::string& tablet_uid,
-      const std::vector<index::IndexEntry>& entries);
-  std::string BufferKey(const std::string& tablet_uid, const Slice& key) const;
+  /// `tablet` (hosted here under `tablet_uid`) as the shared read path
+  /// sees it on this server.
+  ReadContext ReadContextFor(const std::string& tablet_uid, Tablet* tablet) {
+    return ReadContext{&buffer_, Slice(tablet_uid), tablet->index(), &logs_};
+  }
   Status MaybeAutoCheckpoint(Tablet* tablet);
   /// Restart fencing: drops recovered tablets whose persisted assignment
   /// names another server (they were adopted while this process was down;
@@ -402,6 +361,8 @@ class TabletServer {
   std::map<uint32_t, std::unique_ptr<log::LogReader>> readers_
       GUARDED_BY(readers_mu_);
   ReadBuffer buffer_;  // internally synchronized (its own ranked mu_)
+  // The shared read path's log access: every instance through ReaderFor.
+  const LogAccess logs_;
 
   OrderedMutex ts_mu_{lockrank::kTabletServerTimestamps,
                     "tablet.server.timestamps"};

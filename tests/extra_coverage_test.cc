@@ -269,7 +269,7 @@ TEST(CompactionEdgeTest, HistoricalReadsSurviveCompaction) {
   auto v1 = f.server->Get(f.uid, "k");
   ASSERT_TRUE(f.server->Put(f.uid, "k", "v2").ok());
   ASSERT_TRUE(f.server->CompactLog().ok());  // keep all versions (default)
-  EXPECT_EQ(f.server->GetAsOf(f.uid, "k", v1->timestamp)->value, "v1");
+  EXPECT_EQ(f.server->Get(f.uid, "k", v1->timestamp)->value, "v1");
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");
 }
 
@@ -282,7 +282,7 @@ TEST(CompactionEdgeTest, VersionCapDropsHistoricalReads) {
   options.max_versions_per_key = 1;
   ASSERT_TRUE(f.server->CompactLog(options).ok());
   // The old version is gone from both log and (via redo-less swap) index.
-  auto old_read = f.server->GetAsOf(f.uid, "k", v1->timestamp);
+  auto old_read = f.server->Get(f.uid, "k", v1->timestamp);
   // Index may still hold the entry pointing nowhere-valid only if swap kept
   // it; the contract is that the latest version always survives:
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");

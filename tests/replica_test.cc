@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/log/log_record.h"
 #include "src/query/plan.h"
 #include "src/sim/sim_context.h"
+#include "src/util/random.h"
 
 namespace logbase::replica {
 namespace {
@@ -294,28 +297,27 @@ TEST(ReplicaTest, CrashedReplicaRebuildsAndConverges) {
                                  &snapshot_ts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(snapshot_ts, 0u);
-  std::vector<tablet::ReadRow> replica_rows;
-  for (const query::ColumnBatch& batch : result->batches) {
-    const query::BatchColumn* raw = batch.Find(query::kRawValueColumn);
-    ASSERT_NE(raw, nullptr);
-    for (size_t i = 0; i < batch.NumRows(); i++) {
-      replica_rows.push_back(tablet::ReadRow{
-          batch.keys[i], batch.timestamps[i], raw->cells[i]});
-    }
-  }
+  const std::vector<tablet::ReadRow> replica_rows =
+      tablet::RowsFromBatches(result->batches);
 
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
-  auto primary_rows = cluster.server(location->server_id)
-                          ->Scan(uid, Slice(""), Slice(""), snapshot_ts);
-  ASSERT_TRUE(primary_rows.ok()) << primary_rows.status().ToString();
+  query::ExecOptions at_snapshot;
+  at_snapshot.as_of = snapshot_ts;
+  auto primary = cluster.server(location->server_id)
+                     ->ExecuteScan(uid, Slice(query::QueryPlan{}.Encode()),
+                                   at_snapshot);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  const std::vector<tablet::ReadRow> primary_rows =
+      tablet::RowsFromBatches(primary->batches);
 
-  ASSERT_EQ(replica_rows.size(), primary_rows->size());
+  ASSERT_EQ(replica_rows.size(), primary_rows.size());
   EXPECT_FALSE(replica_rows.empty());
   for (size_t i = 0; i < replica_rows.size(); i++) {
-    EXPECT_EQ(replica_rows[i].key, (*primary_rows)[i].key);
-    EXPECT_EQ(replica_rows[i].timestamp, (*primary_rows)[i].timestamp);
-    EXPECT_EQ(replica_rows[i].value, (*primary_rows)[i].value);
+    EXPECT_EQ(replica_rows[i].key, primary_rows[i].key);
+    EXPECT_EQ(replica_rows[i].timestamp, primary_rows[i].timestamp);
+    EXPECT_FALSE(replica_rows[i].value.empty());  // raw values shipped
+    EXPECT_EQ(replica_rows[i].value, primary_rows[i].value);
   }
 }
 
@@ -370,6 +372,311 @@ TEST(ReplicaTest, MigrationTearsDownReplicasAndClientsFallBack) {
   ASSERT_TRUE(reattached.ok());
   EXPECT_NE(reattached->snapshot_ts, 0u);
   EXPECT_EQ(reattached->value(), "v2");
+}
+
+// A historical point read must not cache the version it fetched: the
+// replica's buffer holds each key's newest version, so a later
+// latest-snapshot read would be answered with the old value.
+TEST(ReplicaTest, HistoricalReadDoesNotPoisonBuffer) {
+  cluster::MiniClusterOptions options = SmallCluster();
+  options.replica_read_buffer_bytes = 64;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  auto client = cluster.NewClient(0);
+  ASSERT_TRUE(client->Put("t", 0, Key(0), "old-value", {}).ok());
+  auto old_read = client->Get("t", 0, Key(0), client::ReadOptions{});
+  ASSERT_TRUE(old_read.ok());
+  const uint64_t ts_old = old_read->timestamp();
+  ASSERT_TRUE(client->Put("t", 0, Key(0), "new-value", {}).ok());
+
+  std::vector<std::string> uids = AttachAll(m, 1);
+  const std::string& uid = uids[0];
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  // Tailed filler rows push key0000 out of the 64-byte buffer.
+  for (int i = 1; i <= 8; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "filler-filler-filler", {}).ok());
+  }
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+
+  ReplicaServer* rep = cluster.replica(0);
+  auto historical = rep->Get(uid, Slice(Key(0)), ts_old, 0);
+  ASSERT_TRUE(historical.ok()) << historical.status().ToString();
+  EXPECT_EQ(historical->value, "old-value");
+  auto latest = rep->Get(uid, Slice(Key(0)), 0, 0);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->value, "new-value");
+}
+
+// Stale-tolerant queries rotate across a tablet's replicas: with two
+// replicas at different watermarks, the tablets of one query are answered
+// by both (each tablet wholly by one).
+TEST(ReplicaTest, StaleQueryRotatesAcrossReplicas) {
+  cluster::MiniCluster cluster(SmallCluster(/*nodes=*/3, /*replicas=*/2));
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  std::vector<std::string> splits;
+  for (int t = 1; t < 8; t++) splits.push_back(Key(t * 10));
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, splits).ok());
+  auto client = cluster.NewClient(0);
+  for (int i = 0; i < 80; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "v1", {}).ok());
+  }
+  ASSERT_EQ(AttachAll(m, 2).size(), 8u);
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  for (int i = 0; i < 80; i++) {
+    ASSERT_TRUE(client->Put("t", 0, Key(i), "v2", {}).ok());
+  }
+  // Only replica 0 sees the second round.
+  ASSERT_TRUE(cluster.replica(0)->TickTailers().ok());
+
+  client::QueryOptions options;
+  options.read.allow_stale = true;
+  auto result = client->Query("t", 0, query::QueryPlan{}, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tablets_queried, 8u);
+  EXPECT_EQ(result->tablets_from_replica, 8u);
+  const std::vector<tablet::ReadRow> rows = result->ToRows();
+  ASSERT_EQ(rows.size(), 80u);
+  int fresh_tablets = 0;
+  for (int t = 0; t < 8; t++) {
+    const std::string& first = rows[t * 10].value;
+    for (int i = t * 10; i < t * 10 + 10; i++) {
+      EXPECT_EQ(rows[i].value, first) << rows[i].key;
+    }
+    if (first == "v2") fresh_tablets++;
+  }
+  EXPECT_GT(fresh_tablets, 0) << "replica 0 served no tablet";
+  EXPECT_LT(fresh_tablets, 8) << "replica 1 served no tablet";
+}
+
+// The newest version of `versions` (ascending by timestamp) visible at
+// `snapshot`, or nullptr.
+const std::pair<uint64_t, std::string>* VisibleAt(
+    const std::vector<std::pair<uint64_t, std::string>>& versions,
+    uint64_t snapshot) {
+  const std::pair<uint64_t, std::string>* visible = nullptr;
+  for (const auto& version : versions) {
+    if (version.first <= snapshot) visible = &version;
+  }
+  return visible;
+}
+
+// Point-read counterpart of query_test's three-way differential: primary
+// Get(as_of), replica Get(as_of) and a shadow history agree over random
+// keys, versions and snapshots, with read buffers small enough to churn on
+// both tiers and replica ticks interleaved (so the replica's snapshot often
+// lags the primary's).
+class ReplicaPointDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaPointDifferentialTest,
+                         ::testing::Values(5ull, 2024ull, 31337ull));
+
+TEST_P(ReplicaPointDifferentialTest, PrimaryReplicaAndShadowAgree) {
+  cluster::MiniClusterOptions options = SmallCluster();
+  options.server_template.read_buffer_bytes = 96;
+  options.replica_read_buffer_bytes = 96;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {Key(16)}).ok());
+  auto client = cluster.NewClient(0);
+  AttachAll(m, 1);
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  ReplicaServer* rep = cluster.replica(0);
+
+  Random rnd(GetParam());
+  std::map<std::string, std::vector<std::pair<uint64_t, std::string>>>
+      shadow;
+  int checked = 0;
+  for (int step = 0; step < 600; step++) {
+    const std::string key = Key(static_cast<int>(rnd.Uniform(32)));
+    auto location = m->Locate("t", 0, Slice(key));
+    ASSERT_TRUE(location.ok());
+    const std::string uid = location->descriptor.uid();
+    tablet::TabletServer* server = cluster.server(location->server_id);
+    const uint64_t action = rnd.Uniform(100);
+    if (action < 35) {
+      const std::string value =
+          "s" + std::to_string(step) + std::string(rnd.Uniform(30), 'x');
+      ASSERT_TRUE(client->Put("t", 0, key, value, {}).ok());
+      auto ts = server->LatestVersion(uid, Slice(key));
+      ASSERT_TRUE(ts.ok());
+      shadow[key].emplace_back(*ts, value);
+      continue;
+    }
+    if (action < 45) {
+      ASSERT_TRUE(cluster.TickReplicas().ok());
+      continue;
+    }
+    // A snapshot at, just below or just above one of the key's versions, or
+    // the latest one.
+    const auto& versions = shadow[key];
+    uint64_t as_of = ~0ull;
+    if (!versions.empty() && rnd.Uniform(4) != 0) {
+      const uint64_t ts = versions[rnd.Uniform(versions.size())].first;
+      as_of = std::max<uint64_t>(1, ts - 1 + rnd.Uniform(3));
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + " key " + key + " as_of " +
+                 std::to_string(as_of));
+
+    const auto* want = VisibleAt(versions, as_of);
+    auto primary = server->Get(uid, Slice(key), as_of);
+    if (want == nullptr) {
+      EXPECT_TRUE(primary.status().IsNotFound()) << primary.status().ToString();
+    } else {
+      ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+      EXPECT_EQ(primary->timestamp, want->first);
+      EXPECT_EQ(primary->value, want->second);
+    }
+
+    uint64_t snapshot = 0;
+    auto replica = rep->Get(uid, Slice(key), as_of == ~0ull ? 0 : as_of,
+                            /*max_staleness_us=*/0, &snapshot);
+    EXPECT_LE(snapshot, as_of);
+    const auto* want_replica = VisibleAt(versions, snapshot);
+    if (want_replica == nullptr) {
+      EXPECT_TRUE(replica.status().IsNotFound())
+          << replica.status().ToString();
+    } else {
+      ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+      EXPECT_EQ(replica->timestamp, want_replica->first);
+      EXPECT_EQ(replica->value, want_replica->second);
+    }
+    checked++;
+  }
+  EXPECT_GT(checked, 200);
+}
+
+// Snapshot readers on both tiers race a writer and the replica's tailer
+// over buffers that hold about one row, so fills, hits and evictions
+// interleave with tailing. Every read must return the newest version
+// visible at the snapshot it was served at.
+TEST(ReplicaConcurrencyTest, SnapshotReadersRaceTailers) {
+  cluster::MiniClusterOptions options = SmallCluster();
+  options.server_template.read_buffer_bytes = 96;
+  options.replica_read_buffer_bytes = 96;
+  cluster::MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  master::Master* m = cluster.master();
+  ASSERT_TRUE(m->CreateTable("t", {"v"}, {{"v"}}, {}).ok());
+  constexpr int kKeys = 16;
+  // Snapshots the readers pick: timestamps of versions written before the
+  // race starts (everything at or below them is already published).
+  std::vector<uint64_t> snapshots;
+  auto location = m->Locate("t", 0, Slice(Key(0)));
+  ASSERT_TRUE(location.ok());
+  const std::string uid = location->descriptor.uid();
+  tablet::TabletServer* server = cluster.server(location->server_id);
+  for (int round = 0; round < 3; round++) {
+    for (int k = 0; k < kKeys; k++) {
+      ASSERT_TRUE(server
+                      ->Put(uid, Slice(Key(k)),
+                            "r" + std::to_string(round) + "k" +
+                                std::to_string(k))
+                      .ok());
+      auto ts = server->LatestVersion(uid, Slice(Key(k)));
+      ASSERT_TRUE(ts.ok());
+      snapshots.push_back(*ts);
+    }
+  }
+  AttachAll(m, 1);
+  ASSERT_TRUE(cluster.TickReplicas().ok());
+  ReplicaServer* rep = cluster.replica(0);
+
+  struct Observation {
+    int key = 0;
+    bool from_replica = false;
+    uint64_t snapshot = 0;  // ~0 = latest on the primary
+    bool found = false;
+    uint64_t timestamp = 0;
+    std::string value;
+  };
+  constexpr int kReaders = 3;
+  std::atomic<int> readers_done{0};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 4000 && readers_done.load() < kReaders; i++) {
+      EXPECT_TRUE(server
+                      ->Put(uid, Slice(Key(i % kKeys)),
+                            "w" + std::to_string(i) + std::string(i % 7, 'y'))
+                      .ok());
+    }
+    writer_done.store(true);
+  });
+  std::thread ticker([&] {
+    while (!writer_done.load()) EXPECT_TRUE(rep->TickTailers().ok());
+  });
+  std::vector<std::vector<Observation>> observed(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&, r] {
+      Random rnd(100 + r);
+      while (observed[r].size() < 1500) {
+        Observation o;
+        o.key = static_cast<int>(rnd.Uniform(kKeys));
+        o.from_replica = rnd.Uniform(2) == 0;
+        const uint64_t pick = rnd.Uniform(snapshots.size() + 2);
+        const uint64_t as_of =
+            pick < snapshots.size() ? snapshots[pick] : ~0ull;
+        Result<tablet::ReadValue> read = Status::OK();
+        if (o.from_replica) {
+          read = rep->Get(uid, Slice(Key(o.key)), as_of == ~0ull ? 0 : as_of,
+                          0, &o.snapshot);
+        } else {
+          o.snapshot = as_of;
+          read = server->Get(uid, Slice(Key(o.key)), as_of);
+        }
+        if (read.ok()) {
+          o.found = true;
+          o.timestamp = read->timestamp;
+          o.value = std::move(read->value);
+        } else {
+          ASSERT_TRUE(read.status().IsNotFound()) << read.status().ToString();
+        }
+        observed[r].push_back(std::move(o));
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  ticker.join();
+
+  std::vector<std::vector<std::pair<uint64_t, std::string>>> history(kKeys);
+  for (int k = 0; k < kKeys; k++) {
+    auto versions = server->GetVersions(uid, Slice(Key(k)));  // newest first
+    ASSERT_TRUE(versions.ok());
+    for (auto it = versions->rbegin(); it != versions->rend(); ++it) {
+      history[k].emplace_back(it->timestamp, it->value);
+    }
+  }
+  size_t reads = 0;
+  for (const auto& per_reader : observed) {
+    for (const Observation& o : per_reader) {
+      reads++;
+      if (!o.from_replica && o.snapshot == ~0ull) {
+        // A latest primary read races the writer: it must return some
+        // published version, byte-exact.
+        bool known = false;
+        for (const auto& [ts, value] : history[o.key]) {
+          known |= ts == o.timestamp && value == o.value;
+        }
+        EXPECT_TRUE(known) << Key(o.key) << "@" << o.timestamp;
+        continue;
+      }
+      const auto* want = VisibleAt(history[o.key], o.snapshot);
+      EXPECT_EQ(o.found, want != nullptr) << Key(o.key) << "@" << o.snapshot;
+      if (want == nullptr || !o.found) continue;
+      EXPECT_EQ(o.timestamp, want->first)
+          << Key(o.key) << " replica=" << o.from_replica << " snapshot "
+          << o.snapshot;
+      EXPECT_EQ(o.value, want->second) << Key(o.key);
+    }
+  }
+  EXPECT_EQ(reads, kReaders * 1500u);
 }
 
 // I6 under chaos: replica crashes/restarts race server and master faults

@@ -113,6 +113,19 @@ struct ServerFixture {
   }
 };
 
+// The row scan: a match-all plan (raw stored values) over [start, end).
+Result<std::vector<ReadRow>> ScanRows(TabletServer* server,
+                                      const std::string& uid,
+                                      const std::string& start,
+                                      const std::string& end) {
+  query::QueryPlan plan;
+  plan.start_key = start;
+  plan.end_key = end;
+  auto result = server->ExecuteScan(uid, Slice(plan.Encode()));
+  if (!result.ok()) return result.status();
+  return RowsFromBatches(result->batches);
+}
+
 TEST(TabletServerTest, PutGet) {
   ServerFixture f;
   ASSERT_TRUE(f.server->Put(f.uid, "user1", "hello").ok());
@@ -142,7 +155,7 @@ TEST(TabletServerTest, OverwriteCreatesNewVersion) {
   EXPECT_GT(second->timestamp, first->timestamp);
 
   // Historical read at the first version's timestamp (§3.6.2).
-  auto historical = f.server->GetAsOf(f.uid, "k", first->timestamp);
+  auto historical = f.server->Get(f.uid, "k", first->timestamp);
   ASSERT_TRUE(historical.ok());
   EXPECT_EQ(historical->value, "v1");
 
@@ -153,13 +166,34 @@ TEST(TabletServerTest, OverwriteCreatesNewVersion) {
   EXPECT_EQ((*versions)[1].value, "v1");
 }
 
+// A snapshot read answered by the read buffer is still a read of the
+// tablet: the balancer's load report must count it.
+TEST(TabletServerTest, AsOfBufferHitCountsAsRead) {
+  TabletServerOptions options;
+  options.read_buffer_bytes = 1 << 20;
+  ServerFixture f(options);
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "v").ok());  // the write caches it
+  auto version = f.server->LatestVersion(f.uid, "k");
+  ASSERT_TRUE(version.ok());
+  (void)f.server->CollectLoadReport();  // drain the write's window
+  const uint64_t hits = f.server->read_buffer()->hits();
+
+  auto read = f.server->Get(f.uid, "k", /*as_of=*/*version);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "v");
+  EXPECT_EQ(f.server->read_buffer()->hits(), hits + 1);
+  balance::LoadReport report = f.server->CollectLoadReport();
+  ASSERT_EQ(report.tablets.size(), 1u);
+  EXPECT_EQ(report.tablets[0].read_ops, 1u);
+}
+
 TEST(TabletServerTest, DeleteHidesAllVersions) {
   ServerFixture f;
   ASSERT_TRUE(f.server->Put(f.uid, "k", "v1").ok());
   ASSERT_TRUE(f.server->Put(f.uid, "k", "v2").ok());
   ASSERT_TRUE(f.server->Delete(f.uid, "k").ok());
   EXPECT_TRUE(f.server->Get(f.uid, "k").status().IsNotFound());
-  EXPECT_TRUE(f.server->GetAsOf(f.uid, "k", ~0ull).status().IsNotFound());
+  EXPECT_TRUE(f.server->Get(f.uid, "k", ~0ull - 1).status().IsNotFound());
   EXPECT_TRUE(f.server->GetVersions(f.uid, "k")->empty());
   // Reinsertion works.
   ASSERT_TRUE(f.server->Put(f.uid, "k", "reborn").ok());
@@ -174,7 +208,7 @@ TEST(TabletServerTest, ScanReturnsSortedLatestVersions) {
             .ok());
   }
   ASSERT_TRUE(f.server->Put(f.uid, "key3", "v3-updated").ok());
-  auto rows = f.server->Scan(f.uid, "key2", "key6", ~0ull);
+  auto rows = ScanRows(f.server.get(), f.uid, "key2", "key6");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 4u);
   EXPECT_EQ((*rows)[0].key, "key2");
@@ -387,7 +421,7 @@ TEST(RecoveryTest, MultiVersionHistorySurvivesRestart) {
   f.server->Crash();
   ASSERT_TRUE(f.server->Start().ok());
   EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");
-  EXPECT_EQ(f.server->GetAsOf(f.uid, "k", first->timestamp)->value, "v1");
+  EXPECT_EQ(f.server->Get(f.uid, "k", first->timestamp)->value, "v1");
 }
 
 TEST(RecoveryTest, AutoCheckpointAtThreshold) {
@@ -512,7 +546,7 @@ TEST(CompactionTest, SortedOutputClustersKeyRanges) {
   ASSERT_TRUE(f.server->CompactLog().ok());
   // After compaction, scanning a range yields monotonically increasing log
   // offsets (clustered data) — the property behind Figure 10.
-  auto rows = f.server->Scan(f.uid, "", "", ~0ull);
+  auto rows = ScanRows(f.server.get(), f.uid, "", "");
   ASSERT_TRUE(rows.ok());
   Tablet* tablet = f.server->FindTablet(f.uid);
   uint64_t last_offset = 0;
