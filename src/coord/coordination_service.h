@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/coord/znode_tree.h"
 #include "src/sim/costs.h"
@@ -32,22 +33,30 @@ class CoordinationService {
   void CloseSession(SessionId session);
   bool SessionAlive(SessionId session) const;
 
-  /// Next globally unique, monotonically increasing timestamp. Used both as
-  /// transaction commit timestamps and as write versions.
-  uint64_t NextTimestamp(int client_node);
   /// Reserves `count` consecutive timestamps with one round-trip and returns
-  /// the first; the caller hands them out locally. Auto-commit writes
-  /// amortize the timestamp authority this way (transaction commits use
-  /// NextTimestamp directly, preserving the global commit order of §3.7.1).
+  /// the first; the caller hands them out locally. Timestamps are globally
+  /// unique and increasing. Auto-commit writes amortize the timestamp
+  /// authority this way; transaction commits draw theirs one at a time
+  /// inside their lock multi (CreateEphemeralsAndStamp), so conflicting
+  /// commits are stamped in the order they took their locks (§3.7.1).
   uint64_t ReserveTimestamps(int client_node, uint32_t count);
+
+  /// One round trip carrying a ZooKeeper `multi`: creates the ephemerals
+  /// `paths` holding `data`, all or none (ZnodeTree::CreateEphemerals), and
+  /// if they were created draws the next timestamp, which it returns. On
+  /// failure nothing is created and no timestamp is drawn.
+  Result<uint64_t> CreateEphemeralsAndStamp(
+      SessionId session, const std::vector<std::string>& paths,
+      const std::string& data, int client_node);
 
   /// The most recently issued timestamp (reads of a "current snapshot" use
   /// this without consuming a timestamp).
   uint64_t LatestTimestamp() const;
 
   /// Charges one coordination round-trip from `client_node` (quorum write
-  /// latency + network); public so recipes built on the raw znode tree
-  /// (election, locks) can charge their calls too.
+  /// latency + network) and counts it in `coord.round_trips`; public so
+  /// recipes built on the raw znode tree (election, locks) can charge their
+  /// calls too.
   void ChargeRoundTrip(int client_node, uint64_t bytes = 64) const;
 
  private:

@@ -16,6 +16,15 @@ std::string HexEscape(const Slice& key) {
   return out;
 }
 
+std::vector<std::string> LockPaths(const std::vector<std::string>& keys) {
+  std::vector<std::string> paths;
+  paths.reserve(keys.size());
+  for (const std::string& key : keys) {
+    paths.push_back(LockManager::LockPath(Slice(key)));
+  }
+  return paths;
+}
+
 }  // namespace
 
 LockManager::LockManager(CoordinationService* coord) : coord_(coord) {
@@ -31,27 +40,18 @@ std::string LockManager::LockPath(const Slice& key) {
   return std::string(kLockRoot) + "/" + HexEscape(key);
 }
 
-bool LockManager::TryLock(SessionId session, const Slice& key,
-                          const std::string& owner, int client_node) {
-  coord_->ChargeRoundTrip(client_node);
-  std::string path = LockPath(key);
-  auto created =
-      coord_->znodes()->Create(session, path, owner, CreateMode::kEphemeral);
-  if (created.ok()) return true;
-  // Lock node exists: re-entrant success only for the same owner.
-  auto holder = coord_->znodes()->Get(path);
-  return holder.ok() && *holder == owner;
+Result<uint64_t> LockManager::LockAllAndStamp(
+    SessionId session, const std::vector<std::string>& keys,
+    const std::string& owner, int client_node) {
+  return coord_->CreateEphemeralsAndStamp(session, LockPaths(keys), owner,
+                                          client_node);
 }
 
-void LockManager::Unlock(const Slice& key, const std::string& owner,
-                         int client_node) {
+void LockManager::UnlockAll(SessionId session,
+                            const std::vector<std::string>& keys,
+                            const std::string& owner, int client_node) {
   coord_->ChargeRoundTrip(client_node);
-  std::string path = LockPath(key);
-  auto holder = coord_->znodes()->Get(path);
-  if (holder.ok() && *holder == owner) {
-    // Losing a delete race with session expiry still releases the lock.
-    (void)coord_->znodes()->Delete(path);
-  }
+  coord_->znodes()->DeleteEphemerals(session, LockPaths(keys), owner);
 }
 
 Result<std::string> LockManager::Holder(const Slice& key) const {

@@ -10,6 +10,11 @@ std::string ZnodeTree::ParentOf(const std::string& path) {
   return path.substr(0, pos);
 }
 
+bool ZnodeTree::ValidPath(const std::string& path) {
+  return !path.empty() && path[0] == '/' &&
+         (path.size() == 1 || path.back() != '/');
+}
+
 SessionId ZnodeTree::CreateSession() {
   MutexLock l(mu_);
   SessionId id = next_session_++;
@@ -76,8 +81,7 @@ Result<std::string> ZnodeTree::Create(SessionId session,
   std::string actual;
   {
     MutexLock l(mu_);
-    if (path.empty() || path[0] != '/' ||
-        (path.size() > 1 && path.back() == '/')) {
+    if (!ValidPath(path)) {
       return Status::InvalidArgument("bad znode path: " + path);
     }
     if ((mode == CreateMode::kEphemeral ||
@@ -117,6 +121,67 @@ Result<std::string> ZnodeTree::Create(SessionId session,
   }
   for (auto& [cb, p] : fired) cb(p);
   return actual;
+}
+
+Status ZnodeTree::CreateEphemerals(SessionId session,
+                                   const std::vector<std::string>& paths,
+                                   const std::string& data) {
+  std::vector<std::pair<WatchCallback, std::string>> fired;
+  {
+    MutexLock l(mu_);
+    if (sessions_.count(session) == 0) {
+      return Status::InvalidArgument("ephemeral create with dead session");
+    }
+    // Check every path before creating any: all or none.
+    std::vector<const std::string*> missing;
+    for (const std::string& path : paths) {
+      if (!ValidPath(path)) {
+        return Status::InvalidArgument("bad znode path: " + path);
+      }
+      std::string parent = ParentOf(path);
+      if (parent != "/" && nodes_.count(parent) == 0) {
+        return Status::NotFound("parent znode missing: " + parent);
+      }
+      auto it = nodes_.find(path);
+      if (it == nodes_.end()) {
+        missing.push_back(&path);
+      } else if (it->second.mode != CreateMode::kEphemeral ||
+                 it->second.owner != session || it->second.data != data) {
+        return Status::Busy("znode exists: " + path);
+      }
+    }
+    for (const std::string* path : missing) {
+      Znode node;
+      node.data = data;
+      node.mode = CreateMode::kEphemeral;
+      node.owner = session;
+      nodes_[*path] = std::move(node);
+      auto child_fired = CollectChildWatches(ParentOf(*path));
+      fired.insert(fired.end(), child_fired.begin(), child_fired.end());
+    }
+  }
+  for (auto& [cb, p] : fired) cb(p);
+  return Status::OK();
+}
+
+void ZnodeTree::DeleteEphemerals(SessionId session,
+                                 const std::vector<std::string>& paths,
+                                 const std::string& data) {
+  std::vector<std::pair<WatchCallback, std::string>> fired;
+  {
+    MutexLock l(mu_);
+    for (const std::string& path : paths) {
+      auto it = nodes_.find(path);
+      if (it == nodes_.end() || it->second.mode != CreateMode::kEphemeral ||
+          it->second.owner != session || it->second.data != data) {
+        continue;
+      }
+      // An ephemeral that gained children outlives its release, as in
+      // CloseSession.
+      (void)DeleteLocked(path, &fired);
+    }
+  }
+  for (auto& [cb, p] : fired) cb(p);
 }
 
 Result<std::string> ZnodeTree::Get(const std::string& path) const {

@@ -54,6 +54,20 @@ class ZnodeTree {
   Result<std::string> Create(SessionId session, const std::string& path,
                              const std::string& data, CreateMode mode);
 
+  /// ZooKeeper `multi` of ephemeral creates: puts a node holding `data` at
+  /// every path, all or none, under one lock. A path that already holds an
+  /// ephemeral of `session` with the same `data` counts as created
+  /// (re-entrant). Otherwise an existing path fails the whole call with
+  /// Busy and nothing is created.
+  Status CreateEphemerals(SessionId session,
+                          const std::vector<std::string>& paths,
+                          const std::string& data);
+  /// Multi-delete: removes, under one lock, every path that holds an
+  /// ephemeral of `session` with `data`; other paths are left alone.
+  void DeleteEphemerals(SessionId session,
+                        const std::vector<std::string>& paths,
+                        const std::string& data);
+
   Result<std::string> Get(const std::string& path) const;
   Status Set(const std::string& path, const std::string& data);
   /// Deletes a node; fails if it has children (ZK semantics).
@@ -81,6 +95,7 @@ class ZnodeTree {
   std::vector<std::pair<WatchCallback, std::string>> CollectChildWatches(
       const std::string& parent) REQUIRES(mu_);
   static std::string ParentOf(const std::string& path);
+  static bool ValidPath(const std::string& path);
   bool HasChildrenLocked(const std::string& path) const REQUIRES(mu_);
   Status DeleteLocked(
       const std::string& path,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <thread>
 
+#include "src/sim/sim_context.h"
+
 namespace logbase::txn {
 
 OrderedLockSet::OrderedLockSet(coord::LockManager* locks,
@@ -22,37 +24,42 @@ std::string OrderedLockSet::LockName(const TxnCell& cell) {
   return name;
 }
 
-Status OrderedLockSet::AcquireAll(const std::vector<TxnCell>& cells,
-                                  int max_attempts_per_lock) {
+Result<uint64_t> OrderedLockSet::AcquireAll(const std::vector<TxnCell>& cells,
+                                            int max_attempts) {
   std::vector<TxnCell> ordered = cells;
   std::sort(ordered.begin(), ordered.end());
   ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
+  std::vector<std::string> names;
+  names.reserve(ordered.size());
+  for (const TxnCell& cell : ordered) names.push_back(LockName(cell));
 
-  for (const TxnCell& cell : ordered) {
-    std::string name = LockName(cell);
-    bool acquired = false;
-    for (int attempt = 0; attempt < max_attempts_per_lock; attempt++) {
-      if (locks_->TryLock(session_, Slice(name), owner_, client_node_)) {
-        acquired = true;
-        break;
-      }
-      // Another validating transaction holds it; keep pre-claiming (the
-      // order guarantees the holder is not waiting on us).
-      std::this_thread::yield();
+  Status busy;
+  for (int attempt = 0; attempt < max_attempts; attempt++) {
+    auto stamped =
+        locks_->LockAllAndStamp(session_, names, owner_, client_node_);
+    if (stamped.ok()) {
+      held_ = std::move(names);
+      holds_all_ = true;
+      return stamped;
     }
-    if (!acquired) {
-      ReleaseAll();
-      return Status::Busy("could not acquire write lock: " + cell.key);
-    }
-    held_.push_back(std::move(name));
+    if (!stamped.status().IsBusy()) return stamped.status();
+    busy = stamped.status();
+    // Another validating transaction holds one of the locks. It waits on
+    // nothing while holding them, so keep pre-claiming.
+    std::this_thread::yield();
   }
-  holds_all_ = true;
-  return Status::OK();
+  return Status::Busy("could not acquire write locks: " + busy.message());
 }
 
 void OrderedLockSet::ReleaseAll() {
-  for (const std::string& name : held_) {
-    locks_->Unlock(Slice(name), owner_, client_node_);
+  if (held_.empty()) return;
+  // Off the critical path: the multi-delete still charges the NICs and the
+  // ensemble, on a clock of its own.
+  sim::SimContext* ctx = sim::SimContext::Current();
+  sim::SimContext detached(ctx != nullptr ? ctx->now() : 0);
+  {
+    sim::SimContext::Scope scope(ctx != nullptr ? &detached : nullptr);
+    locks_->UnlockAll(session_, held_, owner_, client_node_);
   }
   held_.clear();
   holds_all_ = false;

@@ -1,11 +1,13 @@
 #include "src/txn/transaction_manager.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/costs.h"
+#include "src/sim/sim_context.h"
 #include "src/txn/lock_table.h"
 #include "src/util/logging.h"
 
@@ -172,13 +174,34 @@ Status TransactionManager::PersistAndPublish(Transaction* txn,
     p.records.pop_back();
     p.ptrs = std::move(*appended);
   } else {
-    // 2PC: phase one writes the data records everywhere...
+    // 2PC phase one writes the data records on every participant at once:
+    // each append runs on a child clock from the same start, and the caller
+    // advances to the latest completion. Every append is tried; any failure
+    // returns before a COMMIT exists anywhere, so the data stays invisible
+    // and replay drops it.
+    sim::SimContext* ctx = sim::SimContext::Current();
+    const sim::VirtualTime base = ctx != nullptr ? ctx->now() : 0;
+    sim::VirtualTime finish = base;
+    Status phase_one;
     for (auto& [server_id, p] : participants) {
-      auto appended = p.server->AppendBatch(&p.records, ack);
-      if (!appended.ok()) return appended.status();  // invisible: no COMMIT
-      p.ptrs = std::move(*appended);
+      sim::SimContext child(base);
+      auto appended = [&] {
+        sim::SimContext::Scope scope(ctx != nullptr ? &child : nullptr);
+        return p.server->AppendBatch(&p.records, ack);
+      }();
+      finish = std::max(finish, child.now());
+      if (appended.ok()) {
+        p.ptrs = std::move(*appended);
+      } else if (phase_one.ok()) {
+        phase_one = appended.status();
+      }
     }
-    // ...phase two makes the transaction durable-visible everywhere.
+    if (ctx != nullptr) ctx->AdvanceTo(finish);
+    LOGBASE_RETURN_NOT_OK(phase_one);
+    // Phase two makes the transaction durable-visible everywhere. COMMITs
+    // go out one at a time in participant order and stop at the first
+    // failure: sent in parallel, a failed first COMMIT could sit beside a
+    // durable second one.
     for (auto& [server_id, p] : participants) {
       std::vector<log::LogRecord> commit_batch;
       commit_batch.push_back(make_commit_record());
@@ -230,19 +253,21 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     }
   }
 
+  // One coordination multi takes every lock and draws the commit
+  // timestamp. A transaction that then fails validation leaves its
+  // timestamp unused: timestamps need only be unique and increasing.
   OrderedLockSet lock_set(&locks_, session_,
                           "txn-" + std::to_string(txn->id()), client_node_);
-  Status lock_status;
-  {
+  Result<uint64_t> commit_ts = [&] {
     obs::Span lock_span("txn.lock.wait");
-    lock_status = lock_set.AcquireAll(cells);
-  }
-  if (!lock_status.ok()) {
+    return lock_set.AcquireAll(cells);
+  }();
+  if (!commit_ts.ok()) {
     stats_.lock_failures.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter* lock_failures = TxnCounter("txn.lock_failures");
     lock_failures->Add();
     Abort(txn);
-    return Status::Aborted(lock_status.message());
+    return Status::Aborted(commit_ts.status().message());
   }
 
   Status valid = ValidateLocked(txn);
@@ -257,7 +282,7 @@ Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {
     return valid;
   }
 
-  txn->set_commit_ts(coord_->NextTimestamp(client_node_));
+  txn->set_commit_ts(*commit_ts);
   Status persisted = PersistAndPublish(txn, ack);
   if (!persisted.ok()) {
     Abort(txn);

@@ -3,13 +3,16 @@
 // group-commit persistence and post-commit index publication. Provides
 // snapshot isolation: all ANSI anomalies except write skew are prevented;
 // the first-committer-wins rule is enforced by holding write locks across
-// validation + write phase.
+// validation + write phase. The locks and the commit timestamp come from
+// one coordination round trip; the locks are released after the commit
+// without waiting for the reply.
 //
 // Single-server transactions commit with one group-committed log append
 // (data + COMMIT together). Multi-server transactions run a two-phase
-// commit: data records on every participant first, COMMIT records after all
-// succeeded — visibility requires the COMMIT record plus index publication,
-// so a failure between phases leaves the transaction invisible everywhere.
+// commit: data records on every participant at once, then COMMIT records
+// one participant at a time once all succeeded — visibility requires the
+// COMMIT record plus index publication, so a failure in phase one leaves
+// the transaction invisible everywhere.
 
 #ifndef LOGBASE_TXN_TRANSACTION_MANAGER_H_
 #define LOGBASE_TXN_TRANSACTION_MANAGER_H_

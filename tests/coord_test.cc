@@ -9,6 +9,7 @@
 #include "src/coord/lock_manager.h"
 #include "src/coord/master_election.h"
 #include "src/coord/znode_tree.h"
+#include "src/obs/metrics.h"
 
 namespace logbase::coord {
 namespace {
@@ -138,7 +139,7 @@ TEST(CoordinationServiceTest, TimestampsAreUniqueAndMonotonic) {
   CoordinationService coord;
   uint64_t prev = 0;
   for (int i = 0; i < 1000; i++) {
-    uint64_t ts = coord.NextTimestamp(0);
+    uint64_t ts = coord.ReserveTimestamps(0, 1);
     EXPECT_GT(ts, prev);
     prev = ts;
   }
@@ -150,7 +151,7 @@ TEST(CoordinationServiceTest, ReservedRangesDoNotOverlap) {
   uint64_t a = coord.ReserveTimestamps(0, 100);
   uint64_t b = coord.ReserveTimestamps(1, 100);
   EXPECT_GE(b, a + 100);
-  EXPECT_GT(coord.NextTimestamp(0), b + 99);
+  EXPECT_GT(coord.ReserveTimestamps(0, 1), b + 99);
 }
 
 TEST(CoordinationServiceTest, RoundTripChargesVirtualTime) {
@@ -158,7 +159,7 @@ TEST(CoordinationServiceTest, RoundTripChargesVirtualTime) {
   CoordinationService coord(&net, 0);
   sim::SimContext ctx;
   sim::SimContext::Scope scope(&ctx);
-  coord.NextTimestamp(1);
+  coord.ReserveTimestamps(1, 1);
   EXPECT_GT(ctx.now(), 0);
 }
 
@@ -206,27 +207,37 @@ TEST(LockManagerTest, MutualExclusion) {
   LockManager locks(&coord);
   SessionId s1 = coord.CreateSession(0);
   SessionId s2 = coord.CreateSession(1);
-  EXPECT_TRUE(locks.TryLock(s1, "key1", "txn-1", 0));
-  EXPECT_FALSE(locks.TryLock(s2, "key1", "txn-2", 1));
+  EXPECT_TRUE(locks.LockAllAndStamp(s1, {"key1"}, "txn-1", 0).ok());
+  EXPECT_TRUE(
+      locks.LockAllAndStamp(s2, {"key1"}, "txn-2", 1).status().IsBusy());
   EXPECT_EQ(*locks.Holder("key1"), "txn-1");
-  locks.Unlock("key1", "txn-1", 0);
-  EXPECT_TRUE(locks.TryLock(s2, "key1", "txn-2", 1));
+  locks.UnlockAll(s1, {"key1"}, "txn-1", 0);
+  EXPECT_TRUE(locks.LockAllAndStamp(s2, {"key1"}, "txn-2", 1).ok());
 }
 
 TEST(LockManagerTest, ReentrantForSameOwner) {
   CoordinationService coord;
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
-  EXPECT_TRUE(locks.TryLock(s, "k", "txn-9", 0));
-  EXPECT_TRUE(locks.TryLock(s, "k", "txn-9", 0));
+  auto first = locks.LockAllAndStamp(s, {"k"}, "txn-9", 0);
+  auto again = locks.LockAllAndStamp(s, {"k", "j"}, "txn-9", 0);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(again.ok());
+  EXPECT_GT(*again, *first);
+  // The same owner name from another session is a different owner.
+  SessionId other = coord.CreateSession(1);
+  EXPECT_TRUE(
+      locks.LockAllAndStamp(other, {"k"}, "txn-9", 1).status().IsBusy());
 }
 
 TEST(LockManagerTest, UnlockByNonOwnerIsIgnored) {
   CoordinationService coord;
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
-  EXPECT_TRUE(locks.TryLock(s, "k", "owner", 0));
-  locks.Unlock("k", "impostor", 0);
+  SessionId intruder = coord.CreateSession(1);
+  EXPECT_TRUE(locks.LockAllAndStamp(s, {"k"}, "owner", 0).ok());
+  locks.UnlockAll(s, {"k"}, "impostor", 0);
+  locks.UnlockAll(intruder, {"k"}, "owner", 1);
   EXPECT_EQ(*locks.Holder("k"), "owner");
 }
 
@@ -235,9 +246,9 @@ TEST(LockManagerTest, SessionDeathReleasesLocks) {
   LockManager locks(&coord);
   SessionId s1 = coord.CreateSession(0);
   SessionId s2 = coord.CreateSession(1);
-  EXPECT_TRUE(locks.TryLock(s1, "k", "txn-1", 0));
+  EXPECT_TRUE(locks.LockAllAndStamp(s1, {"k", "j"}, "txn-1", 0).ok());
   coord.CloseSession(s1);  // crashed transaction holder
-  EXPECT_TRUE(locks.TryLock(s2, "k", "txn-2", 1));
+  EXPECT_TRUE(locks.LockAllAndStamp(s2, {"k", "j"}, "txn-2", 1).ok());
 }
 
 TEST(LockManagerTest, BinaryKeysAreEscaped) {
@@ -245,8 +256,45 @@ TEST(LockManagerTest, BinaryKeysAreEscaped) {
   LockManager locks(&coord);
   SessionId s = coord.CreateSession(0);
   std::string weird("a/b\0c", 5);
-  EXPECT_TRUE(locks.TryLock(s, Slice(weird), "o", 0));
-  EXPECT_FALSE(locks.TryLock(s, Slice(weird), "other", 0));
+  EXPECT_TRUE(locks.LockAllAndStamp(s, {weird}, "o", 0).ok());
+  EXPECT_TRUE(locks.LockAllAndStamp(s, {weird}, "other", 0).status().IsBusy());
+}
+
+// ZooKeeper `multi` semantics: one key held elsewhere fails the whole lock
+// set. Nothing is created, no timestamp is drawn, and the failed attempt
+// still costs its one round trip.
+TEST(LockManagerTest, MultiIsAllOrNothing) {
+  CoordinationService coord;
+  LockManager locks(&coord);
+  SessionId holder = coord.CreateSession(0);
+  SessionId s = coord.CreateSession(1);
+  ASSERT_TRUE(locks.LockAllAndStamp(holder, {"b"}, "txn-holder", 0).ok());
+  const uint64_t latest = coord.LatestTimestamp();
+  obs::Counter* round_trips =
+      obs::MetricsRegistry::Global().counter("coord.round_trips");
+  const uint64_t trips_before = round_trips->value();
+
+  auto stamped = locks.LockAllAndStamp(s, {"a", "b", "c"}, "txn-1", 1);
+  EXPECT_TRUE(stamped.status().IsBusy());
+  EXPECT_EQ(round_trips->value() - trips_before, 1u);
+  EXPECT_TRUE(locks.Holder("a").status().IsNotFound());
+  EXPECT_TRUE(locks.Holder("c").status().IsNotFound());
+  EXPECT_EQ(*locks.Holder("b"), "txn-holder");
+  EXPECT_EQ(coord.LatestTimestamp(), latest);
+
+  // Once "b" is free the same multi takes all three and stamps once.
+  locks.UnlockAll(holder, {"b"}, "txn-holder", 0);
+  stamped = locks.LockAllAndStamp(s, {"a", "b", "c"}, "txn-1", 1);
+  ASSERT_TRUE(stamped.ok());
+  EXPECT_EQ(*stamped, latest + 1);
+  EXPECT_EQ(coord.LatestTimestamp(), latest + 1);
+  for (const char* key : {"a", "b", "c"}) {
+    EXPECT_EQ(*locks.Holder(key), "txn-1");
+  }
+  locks.UnlockAll(s, {"a", "b", "c"}, "txn-1", 1);
+  for (const char* key : {"a", "b", "c"}) {
+    EXPECT_TRUE(locks.Holder(key).status().IsNotFound());
+  }
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   tablet::Tablet* tablet = server->FindTablet(uid);
   ASSERT_NE(tablet, nullptr);
   // A commit timestamp above every issued one, straight from the authority.
-  const uint64_t txn_ts = cluster.coord()->NextTimestamp(0);
+  const uint64_t txn_ts = cluster.coord()->ReserveTimestamps(0, 1);
   log::LogRecord rec;
   rec.type = log::LogRecordType::kData;
   rec.key.table_id = tablet->descriptor().table_id;

@@ -45,9 +45,9 @@ TEST(StressTest, ThreadPoolManySubmittersAndWaiters) {
 TEST(StressTest, LockTableContendedAcquireRelease) {
   coord::CoordinationService coord;
   coord::LockManager locks(&coord);
-  // 8 transactions repeatedly lock overlapping key sets through the ordered
-  // lock table; key-order acquisition must stay deadlock-free and TSan must
-  // see no races in the znode tree underneath.
+  // 8 transactions repeatedly lock overlapping key sets through the lock
+  // table; all-or-none multis must never deadlock and TSan must see no
+  // races in the znode tree underneath.
   std::atomic<int> acquired{0};
   std::vector<std::thread> txns;
   for (int t = 0; t < 8; t++) {

@@ -1,11 +1,20 @@
 // Tests for MVOCC transactions (paper §3.7): snapshot isolation semantics
-// (every ANSI anomaly except write skew prevented), validation with ordered
-// write locks, read-only fast path, 2PC across servers, and crash atomicity.
+// (every ANSI anomaly except write skew prevented), validation with write
+// locks taken in one coordination multi, read-only fast path, 2PC across
+// servers, and crash atomicity.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include "src/cluster/mini_cluster.h"
 #include "src/dfs/dfs.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
+#include "src/sim/costs.h"
+#include "src/sim/sim_context.h"
 #include "src/tablet/tablet_server.h"
 #include "src/txn/lock_table.h"
 #include "src/txn/transaction_manager.h"
@@ -299,6 +308,192 @@ TEST(TxnTest, SerializableReadOnlyStillCommitsWithoutLocks) {
   EXPECT_TRUE(strict.Commit(reader.get()).ok());
 }
 
+// A committed 2-key write transaction makes exactly two coordination round
+// trips, whether it has one participant or two: the multi that takes the
+// locks and draws the commit timestamp, and the release.
+TEST(TxnTest, CommitCostsTwoRoundTrips) {
+  TxnFixture f;
+  obs::Counter* round_trips =
+      obs::MetricsRegistry::Global().counter("coord.round_trips");
+  for (bool two_participants : {false, true}) {
+    auto txn = f.manager->Begin();
+    ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "x", "1").ok());
+    ASSERT_TRUE(f.manager
+                    ->Write(txn.get(), two_participants ? f.uid1 : f.uid0,
+                            "y", "2")
+                    .ok());
+    const uint64_t before = round_trips->value();
+    ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+    EXPECT_EQ(round_trips->value() - before, 2u)
+        << (two_participants ? "two participants" : "one participant");
+  }
+}
+
+// The commit critical path in virtual time on idle devices: one
+// coordination round trip, then the slower participant's data append (both
+// run at once), then the COMMIT appends one after another. The release is
+// off the path.
+TEST(TxnTest, TwoParticipantCommitCriticalPath) {
+  TxnFixture f;
+  auto txn = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "a", "left").ok());
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid1, "b", "right").ok());
+
+  const sim::VirtualTime start = 1'000'000;
+  sim::SimContext ctx(start);
+  obs::OpTracer tracer;
+  {
+    sim::SimContext::Scope sim_scope(&ctx);
+    obs::OpTracer::Scope trace_scope(&tracer);
+    ASSERT_TRUE(f.manager->Commit(txn.get()).ok());
+  }
+
+  std::vector<obs::SpanRecord> submits, appends;
+  sim::VirtualTime lock_wait = 0;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (span.name == "log.append.submit") submits.push_back(span);
+    if (span.name == "log.append") appends.push_back(span);
+    if (span.name == "txn.lock.wait") lock_wait = span.elapsed_us();
+  }
+  // Two data appends, then two COMMIT appends.
+  ASSERT_EQ(submits.size(), 4u);
+  ASSERT_EQ(appends.size(), 4u);
+  // One round trip (the fixture's ensemble has no network model).
+  EXPECT_EQ(lock_wait, sim::costs::kCoordinationUs);
+  // Phase one fans out: both data appends start together and it ends with
+  // the slower one (both logs live on the same three DFS disks, so the
+  // second queues behind the first)...
+  EXPECT_EQ(submits[0].begin_us, submits[1].begin_us);
+  const sim::VirtualTime phase_one_end =
+      std::max(appends[0].end_us, appends[1].end_us);
+  // ...and phase two sends the COMMITs one at a time after it.
+  EXPECT_GE(submits[2].begin_us, phase_one_end);
+  EXPECT_GE(submits[3].begin_us, appends[2].end_us);
+
+  const sim::VirtualTime path = lock_wait +
+                                (phase_one_end - submits[0].begin_us) +
+                                (appends[2].end_us - submits[2].begin_us) +
+                                (appends[3].end_us - submits[3].begin_us);
+  const sim::VirtualTime elapsed = ctx.now() - start;
+  EXPECT_GE(elapsed, path);
+  // What is left is bookkeeping CPU, far below one more round trip or a
+  // second data append.
+  EXPECT_LE(elapsed, path + 20) << "elapsed " << elapsed << " path " << path;
+}
+
+// A participant that went down after validation fails phase one. The other
+// participant's data append still runs; without a COMMIT it stays
+// invisible, also after both servers restart.
+TEST(TxnTest, PhaseOneFailureStaysInvisible) {
+  TxnFixture f;
+  auto txn = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "down", "x").ok());
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid1, "live", "y").ok());
+  // Stopped, server 0 still holds its tablets, so validation passes and
+  // only its append fails. It comes first in participant order.
+  ASSERT_TRUE(f.servers[0]->Stop().ok());
+
+  obs::OpTracer tracer;
+  {
+    obs::OpTracer::Scope trace_scope(&tracer);
+    EXPECT_FALSE(f.manager->Commit(txn.get()).ok());
+  }
+  EXPECT_EQ(txn->state(), Transaction::State::kAborted);
+  // Server 1's data append ran (server 0's failed before its log).
+  EXPECT_EQ(tracer.CountOf("log.append"), 1);
+  EXPECT_TRUE(f.servers[1]->Get(f.uid1, "live").status().IsNotFound());
+
+  for (auto& server : f.servers) {
+    server->Crash();
+    ASSERT_TRUE(server->Start().ok());
+  }
+  EXPECT_TRUE(f.servers[0]->Get(f.uid0, "down").status().IsNotFound());
+  EXPECT_TRUE(f.servers[1]->Get(f.uid1, "live").status().IsNotFound());
+  // The locks were released: the same keys commit afterwards.
+  auto retry = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(retry.get(), f.uid0, "down", "x2").ok());
+  ASSERT_TRUE(f.manager->Write(retry.get(), f.uid1, "live", "y2").ok());
+  ASSERT_TRUE(f.manager->Commit(retry.get()).ok());
+  EXPECT_EQ(f.servers[1]->Get(f.uid1, "live")->value, "y2");
+}
+
+// Four clients, each with its own TransactionManager and session, run
+// read-modify-write increments on overlapping key pairs, some spanning both
+// servers. Aborted attempts retry; no increment may be lost and every
+// client finishes.
+TEST(TxnTest, ConcurrentIncrementsAreNotLost) {
+  TxnFixture f;
+  const std::vector<TxnCell> cells = {
+      {f.uid0, "c0"}, {f.uid0, "c1"}, {f.uid1, "c2"}};
+  constexpr int kClients = 4;
+  constexpr int kIncrements = 20;
+  auto resolve = [&f](const std::string& uid) -> TabletServer* {
+    for (auto& server : f.servers) {
+      if (server->FindTablet(uid) != nullptr) return server.get();
+    }
+    return nullptr;
+  };
+  auto read_int = [](const Result<std::string>& read, int* out) {
+    if (read.ok()) {
+      *out = std::stoi(*read);
+      return true;
+    }
+    *out = 0;
+    return read.status().IsNotFound();
+  };
+
+  std::atomic<int> unfinished{0};
+  std::vector<int> expected(cells.size(), 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; c++) {
+    const TxnCell& first = cells[c % cells.size()];
+    const TxnCell& second = cells[(c + 1) % cells.size()];
+    expected[c % cells.size()] += kIncrements;
+    expected[(c + 1) % cells.size()] += kIncrements;
+    clients.emplace_back([&, c, first, second] {
+      TransactionManager manager(&f.coord, c, resolve);
+      for (int i = 0; i < kIncrements; i++) {
+        bool done = false;
+        for (int attempt = 0; attempt < 10000 && !done; attempt++) {
+          auto txn = manager.Begin();
+          int a = 0;
+          int b = 0;
+          if (!read_int(manager.Read(txn.get(), first.tablet_uid,
+                                     Slice(first.key)),
+                        &a) ||
+              !read_int(manager.Read(txn.get(), second.tablet_uid,
+                                     Slice(second.key)),
+                        &b)) {
+            manager.Abort(txn.get());
+            continue;
+          }
+          if (!manager
+                   .Write(txn.get(), first.tablet_uid, Slice(first.key),
+                          std::to_string(a + 1))
+                   .ok() ||
+              !manager
+                   .Write(txn.get(), second.tablet_uid, Slice(second.key),
+                          std::to_string(b + 1))
+                   .ok()) {
+            manager.Abort(txn.get());
+            continue;
+          }
+          done = manager.Commit(txn.get()).ok();
+        }
+        if (!done) unfinished++;
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(unfinished.load(), 0);
+  for (size_t i = 0; i < cells.size(); i++) {
+    auto value = resolve(cells[i].tablet_uid)
+                     ->Get(cells[i].tablet_uid, Slice(cells[i].key));
+    ASSERT_TRUE(value.ok()) << cells[i].key;
+    EXPECT_EQ(std::stoi(value->value), expected[i]) << cells[i].key;
+  }
+}
+
 TEST(OrderedLockSetTest, AcquiresAndReleases) {
   coord::CoordinationService coord;
   coord::LockManager locks(&coord);
@@ -324,7 +519,7 @@ TEST(OrderedLockSetTest, StatsCountLockFailures) {
   std::string lock_name = f.uid0;
   lock_name.push_back('\0');
   lock_name += "blocked";
-  ASSERT_TRUE(locks.TryLock(s, Slice(lock_name), "outsider", 0));
+  ASSERT_TRUE(locks.LockAllAndStamp(s, {lock_name}, "outsider", 0).ok());
 
   auto txn = f.manager->Begin();
   ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "blocked", "v").ok());
