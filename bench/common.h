@@ -159,11 +159,18 @@ inline void PrintComponentBreakdown(
                   m.CounterValue("dfs.pread.steered")),
               static_cast<unsigned long long>(
                   preads != nullptr ? preads->count : 0));
+  // Disk runs per DFS range read (one access each, fanned out across
+  // replicas) and the run time those overlapping runs took off the
+  // critical path.
   const obs::MetricPoint* sweep = m.Find("log.read.sweep_records");
   if (sweep != nullptr && sweep->count > 0) {
-    std::printf("  %-12s sweeps=%-10llu records_avg=%.1f  records_max=%.0f\n",
+    const obs::MetricPoint* runs = m.Find("dfs.sweep.runs");
+    std::printf("  %-12s sweeps=%-10llu records_avg=%.1f  records_max=%.0f  "
+                "runs_avg=%.2f  overlap_us=%llu\n",
                 "log.sweep", static_cast<unsigned long long>(sweep->count),
-                sweep->avg, sweep->max);
+                sweep->avg, sweep->max, runs != nullptr ? runs->avg : 0.0,
+                static_cast<unsigned long long>(
+                    m.CounterValue("dfs.sweep.overlap_us")));
   }
 
   uint64_t rb_hits = m.CounterValue("tablet.read_buffer.hits");

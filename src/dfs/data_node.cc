@@ -33,6 +33,25 @@ obs::Counter* InjectedIoErrors() {
 
 }  // namespace
 
+std::vector<DiskRun> PlanDiskRuns(const std::vector<ReadRange>& ranges,
+                                  uint64_t bridge_limit) {
+  std::vector<DiskRun> runs;
+  for (size_t i = 0; i < ranges.size(); i++) {
+    const ReadRange& r = ranges[i];
+    if (r.n == 0) continue;
+    if (!runs.empty() && r.offset < runs.back().end + bridge_limit) {
+      DiskRun& run = runs.back();
+      if (r.offset > run.end) run.bridged += r.offset - run.end;
+      run.end = std::max(run.end, r.offset + r.n);
+      run.last = i + 1;
+      run.requested += r.n;
+      continue;
+    }
+    runs.push_back(DiskRun{i, i + 1, r.offset, r.offset + r.n, 0, r.n});
+  }
+  return runs;
+}
+
 bool DataNode::ConsumeInjectedError() const {
   int pending = injected_io_errors_.load(std::memory_order_relaxed);
   while (pending > 0) {
@@ -96,34 +115,20 @@ Result<std::vector<std::string>> DataNode::ReadBlockRanges(
       }
     }
   }
-  // Sweep: extend the current disk access over the next range while the
-  // gap to it stays below the seek-equivalent; otherwise charge the access
-  // and seek to start a new one.
-  const uint64_t bridge_limit = disk_.seek_equivalent_bytes();
+  // Charge the bytes this replica holds: a short replica's missing tail
+  // costs no disk time.
+  std::vector<ReadRange> held(ranges.size());
+  for (size_t i = 0; i < ranges.size(); i++) {
+    held[i] = ReadRange{ranges[i].offset, out[i].size()};
+  }
   uint64_t swept = 0;
   uint64_t bridged = 0;
-  uint64_t run_begin = 0;
-  uint64_t run_end = 0;
-  bool open = false;
-  auto charge_run = [&] {
-    disk_.Access(block, run_begin, run_end - run_begin);
-    swept += run_end - run_begin;
-  };
-  for (size_t i = 0; i < ranges.size(); i++) {
-    if (out[i].empty()) continue;
-    const uint64_t begin = ranges[i].offset;
-    const uint64_t end = begin + out[i].size();
-    if (open && begin < run_end + bridge_limit) {
-      if (begin > run_end) bridged += begin - run_end;
-      run_end = std::max(run_end, end);
-      continue;
-    }
-    if (open) charge_run();
-    run_begin = begin;
-    run_end = end;
-    open = true;
+  for (const DiskRun& run :
+       PlanDiskRuns(held, disk_.seek_equivalent_bytes())) {
+    disk_.Access(block, run.begin, run.end - run.begin);
+    swept += run.end - run.begin;
+    bridged += run.bridged;
   }
-  if (open) charge_run();
   PreadBytes()->Add(swept);
   BridgedBytes()->Add(bridged);
   return out;

@@ -24,6 +24,27 @@ namespace logbase::dfs {
 
 using BlockId = uint64_t;
 
+/// One disk access of a sieved read: ranges [first, last) of a sorted range
+/// list, read as the one span [begin, end).
+struct DiskRun {
+  size_t first = 0;
+  size_t last = 0;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  uint64_t bridged = 0;    // gap bytes read through between the ranges
+  uint64_t requested = 0;  // the ranges' own bytes: what the run ships
+};
+
+/// The bridge rule, stated once: ranges sorted by offset join the current
+/// run while the gap from the run's end to their start is below
+/// `bridge_limit` (the disk's seek_equivalent_bytes(): reading through a
+/// shorter gap is cheaper than seeking over it); a longer gap starts a new
+/// run. Empty ranges read nothing and start no run. The data node charges
+/// one disk access per run; the DFS client plans its replica choice per
+/// run.
+std::vector<DiskRun> PlanDiskRuns(const std::vector<ReadRange>& ranges,
+                                  uint64_t bridge_limit);
+
 /// Thread-safe block store with simulated disk costs.
 class DataNode {
  public:
@@ -64,10 +85,9 @@ class DataNode {
 
   /// Sieved read of several ranges of one block (`ranges` sorted by
   /// offset): one result per range, each with ReadBlock's short-at-end
-  /// semantics. Consecutive ranges whose gap is below the disk's
-  /// seek_equivalent_bytes() share one disk access spanning both (reading
-  /// through the gap is cheaper than seeking over it); only the requested
-  /// bytes are returned. An injected I/O error fails the whole call.
+  /// semantics. Charges one disk access per PlanDiskRuns run of the bytes
+  /// actually held; only the requested bytes are returned. An injected I/O
+  /// error fails the whole call.
   Result<std::vector<std::string>> ReadBlockRanges(
       BlockId block, const std::vector<ReadRange>& ranges) const;
 

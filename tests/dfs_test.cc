@@ -509,8 +509,8 @@ uint64_t SteeredReads() {
 /// written by node 0 with no actor, so every disk and NIC starts idle. The
 /// sticky order of a reader on node 0 is 0, 1, 2.
 struct SteeringFixture {
-  explicit SteeringFixture(size_t size = 100000)
-      : dfs(SmallBlocks(3, 1 << 20)), data(Pattern(size)) {
+  explicit SteeringFixture(size_t size = 100000, uint64_t block = 1 << 20)
+      : dfs(SmallBlocks(3, block)), data(Pattern(size)) {
     auto wf = dfs.Create("/steer", 0);
     EXPECT_TRUE((*wf)->Append(data).ok());
     EXPECT_TRUE((*wf)->Sync().ok());
@@ -529,6 +529,22 @@ struct SteeringFixture {
     auto got = rf->Read(offset, n);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (got.ok()) EXPECT_EQ(*got, data.substr(offset, n));
+    return ctx.now();
+  }
+
+  /// ReadRanges on a fresh clock from 0; checks every piece and returns
+  /// the completion time.
+  sim::VirtualTime TimedRanges(const std::vector<ReadRange>& ranges) {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    auto pieces = rf->ReadRanges(ranges);
+    EXPECT_TRUE(pieces.ok()) << pieces.status().ToString();
+    if (pieces.ok()) {
+      for (size_t i = 0; i < ranges.size(); i++) {
+        EXPECT_EQ((*pieces)[i], data.substr(ranges[i].offset, ranges[i].n))
+            << "range " << i;
+      }
+    }
     return ctx.now();
   }
 
@@ -720,6 +736,190 @@ TEST(DfsSteeringTest, ConcurrentSteeredReadersDuringAppends) {
         const uint64_t off = 64 * rnd.Uniform(records);
         auto piece = (*rf)->Read(off, 64);
         if (!piece.ok() || *piece != data.substr(off, 64)) {
+          mismatches.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  {
+    sim::SimContext ctx;
+    sim::SimContext::Scope scope(&ctx);
+    for (size_t off = 64; off < data.size(); off += 64) {
+      ASSERT_TRUE((*wf)->Append(data.substr(off, 64)).ok());
+      ASSERT_TRUE((*wf)->Sync().ok());
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Fanned-out sweeps: a range read's disk runs are read at once, the first
+// in sticky order and every later one on the replica that finishes it
+// first.
+// ---------------------------------------------------------------------------
+
+uint64_t SweepOverlapUs() {
+  return obs::MetricsRegistry::Global()
+      .counter("dfs.sweep.overlap_us")
+      ->value();
+}
+
+/// Calls and total runs recorded by the dfs.sweep.runs histogram.
+std::pair<uint64_t, double> SweepRuns() {
+  const Histogram h =
+      obs::MetricsRegistry::Global().histogram("dfs.sweep.runs")->Snapshot();
+  return {h.num(), h.Average() * static_cast<double>(h.num())};
+}
+
+/// Runs need gaps of at least the seek-equivalent (1 215 000 B), so the
+/// sweep tests read a few MB of one 8 MB block.
+constexpr uint64_t kSweepBlock = 8 << 20;
+
+// Ranges within a seek-equivalent of each other form one run: one local
+// access over the whole span plus the loopback, and no overlap recorded.
+TEST(DfsSweepFanOutTest, OneRunSweepReadsLocallyAtUnchangedCost) {
+  SteeringFixture f(4 << 20, kSweepBlock);
+  const auto runs = SweepRuns();
+  const uint64_t overlap = SweepOverlapUs();
+  EXPECT_EQ(f.TimedRanges({{1000, 500}, {100000, 500}, {900000, 500}}),
+            kPositioningUs + DiskUs(899500) + kLoopbackUs);
+  EXPECT_EQ(f.Busy(0), kPositioningUs + DiskUs(899500));
+  EXPECT_EQ(f.Busy(1) + f.Busy(2), 0);
+  EXPECT_EQ(SweepRuns().first, runs.first + 1);
+  EXPECT_EQ(SweepRuns().second, runs.second + 1);
+  EXPECT_EQ(SweepOverlapUs(), overlap);
+}
+
+// Two runs 2 MB apart on idle disks: the first reads locally, the second on
+// idle remote replica 1 at the same time, so the call finishes with the
+// slower (remote) run, not after both runs queued on the local disk.
+TEST(DfsSweepFanOutTest, TwoRunsFinishAtTheSlowerRunNotTheSum) {
+  SteeringFixture f(4 << 20, kSweepBlock);
+  const auto runs = SweepRuns();
+  const uint64_t overlap = SweepOverlapUs();
+  const sim::VirtualTime local = kPositioningUs + DiskUs(1000) + kLoopbackUs;
+  const sim::VirtualTime remote =
+      kPositioningUs + DiskUs(601000) + kRpcOverheadUs + WireUs(2000);
+  ASSERT_LT(local, remote);
+  EXPECT_EQ(f.TimedRanges({{0, 1000}, {2000000, 1000}, {2600000, 1000}}),
+            remote);
+  EXPECT_EQ(f.Busy(0), kPositioningUs + DiskUs(1000));
+  EXPECT_EQ(f.Busy(1), kPositioningUs + DiskUs(601000));
+  EXPECT_EQ(f.Busy(2), 0);
+  EXPECT_EQ(SweepRuns().first, runs.first + 1);
+  EXPECT_EQ(SweepRuns().second, runs.second + 2);
+  EXPECT_EQ(SweepOverlapUs(), overlap + local);
+}
+
+// The first run's sticky replica (local node 0) is dead: that run fails
+// over to replica 1 while the second run completes on idle replica 2.
+TEST(DfsSweepFanOutTest, DeadStickyReplicaFailsOverWhileOtherRunCompletes) {
+  SteeringFixture f(4 << 20, kSweepBlock);
+  f.dfs.KillDataNode(0);
+  EXPECT_EQ(f.TimedRanges({{0, 1000}, {2000000, 1000}, {2600000, 1000}}),
+            kPositioningUs + DiskUs(601000) + kRpcOverheadUs + WireUs(2000));
+  EXPECT_EQ(f.Busy(0), 0);
+  EXPECT_EQ(f.Busy(1), kPositioningUs + DiskUs(1000));
+  EXPECT_EQ(f.Busy(2), kPositioningUs + DiskUs(601000));
+}
+
+// Local replica 2 missed every append after the first 10 000 bytes. The
+// first run is read there: its short pieces heal through Read. The second
+// run lies past the stale prefix and goes to a full replica.
+TEST(DfsSweepFanOutTest, StaleShortReplicaUnderOneRunHealsThroughRead) {
+  Dfs dfs(SmallBlocks(3, kSweepBlock));
+  const std::string data = Pattern(3 << 20);
+  auto wf = dfs.Create("/stale", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.KillDataNode(2);
+  ASSERT_TRUE((*wf)->Append(data.substr(10000)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+  dfs.RestartDataNode(2);
+  auto rf = std::move(*dfs.Open("/stale", 2));
+  ASSERT_TRUE(rf->Read(0, 0).ok());
+  const std::vector<ReadRange> ranges = {
+      {100, 50}, {9990, 20}, {15000, 50}, {2500000, 50}};
+  sim::SimContext ctx;
+  sim::SimContext::Scope scope(&ctx);
+  auto pieces = rf->ReadRanges(ranges);
+  ASSERT_TRUE(pieces.ok());
+  for (size_t i = 0; i < ranges.size(); i++) {
+    EXPECT_EQ((*pieces)[i], data.substr(ranges[i].offset, ranges[i].n))
+        << "range " << i;
+  }
+  // The stale replica read only the bytes it holds: one access, 100..10000.
+  EXPECT_EQ(dfs.data_node(2)->disk()->resource()->total_busy_us(),
+            kPositioningUs + DiskUs(9900));
+}
+
+// The second run spans 3 MB but ships its four 7.5 KB ranges. The local
+// disk is queued 13 ms (another actor plus the first run): priced at the
+// span's bytes the remote response leg (~25.7 ms of wire) would keep the
+// run local; priced at the 30 KB it ships, idle remote replica 1 wins.
+TEST(DfsSweepFanOutTest, EstimatePricesShippedBytesNotSpan) {
+  SteeringFixture f(5 << 20, kSweepBlock);
+  const sim::VirtualTime first = kPositioningUs + DiskUs(1000);
+  f.QueueDisk(0, 0, 13000 - first);
+  const uint64_t span = 4500000 + 7500 - 1500000;
+  const sim::VirtualTime local_run = 13000 + kPositioningUs + DiskUs(span);
+  ASSERT_LT(local_run + kLoopbackUs,
+            kPositioningUs + DiskUs(span) + kRpcOverheadUs + WireUs(span));
+  const sim::VirtualTime remote =
+      kPositioningUs + DiskUs(span) + kRpcOverheadUs + WireUs(30000);
+  ASSERT_LT(remote, local_run + kLoopbackUs);
+  EXPECT_EQ(f.TimedRanges({{0, 1000},
+                           {1500000, 7500},
+                           {2500000, 7500},
+                           {3500000, 7500},
+                           {4500000, 7500}}),
+            remote);
+  EXPECT_EQ(f.Busy(0), 13000);
+  EXPECT_EQ(f.Busy(1), kPositioningUs + DiskUs(span));
+  EXPECT_EQ(f.Busy(2), 0);
+}
+
+// Readers on every node sweep ranges spread over several blocks (so each
+// call fans out runs on child clocks, reading the disk and NIC queues)
+// while an appender's pipeline reserves the same devices; run under TSan.
+TEST(DfsSweepFanOutTest, ConcurrentSweepersDuringAppends) {
+  Dfs dfs(SmallBlocks(3, 4096));
+  const std::string data = Pattern(64 * 300);
+  auto wf = dfs.Create("/fan", 0);
+  ASSERT_TRUE((*wf)->Append(data.substr(0, 64)).ok());
+  ASSERT_TRUE((*wf)->Sync().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; t++) {
+    readers.emplace_back([&, t] {
+      auto rf = dfs.Open("/fan", t);
+      if (!rf.ok()) {
+        mismatches.fetch_add(1);
+        started.fetch_add(1);
+        return;
+      }
+      sim::SimContext ctx;
+      sim::SimContext::Scope scope(&ctx);
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t records = (*rf)->Size() / 64;
+        if (records < 3) continue;
+        const uint64_t mid = 64 * (records / 2);
+        const uint64_t tail = 64 * (records - 1);
+        auto pieces = (*rf)->ReadRanges({{0, 64}, {mid, 64}, {tail, 64}});
+        if (!pieces.ok() || (*pieces)[0] != data.substr(0, 64) ||
+            (*pieces)[1] != data.substr(mid, 64) ||
+            (*pieces)[2] != data.substr(tail, 64)) {
           mismatches.fetch_add(1);
         }
         reads.fetch_add(1);

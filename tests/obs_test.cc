@@ -196,6 +196,9 @@ TEST(ObsEndToEndTest, MiniClusterRoundTripReportsComponentBreakdown) {
   ASSERT_GE(tracer.CountOf("dfs.pread"), 1);
   EXPECT_GT(tracer.TotalUs("dfs.pread"), 0);
   EXPECT_GE(tracer.TotalUs("client.get"), tracer.TotalUs("dfs.pread"));
+  auto rows = client->Scan("t", 0, "key0", "key9");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 9u);
 
   obs::MetricsSnapshot snap = cluster.DumpMetrics();
   EXPECT_GT(snap.CounterValue("log.append.bytes"), 0u);
@@ -207,6 +210,15 @@ TEST(ObsEndToEndTest, MiniClusterRoundTripReportsComponentBreakdown) {
   // leaves every disk idle by the time it reads, so none are.
   ASSERT_NE(snap.Find("dfs.pread.steered"), nullptr);
   EXPECT_EQ(snap.CounterValue("dfs.pread.steered"), 0u);
+  // The scan's buffer misses were swept: each range read reports its disk
+  // runs, and a few records within one segment make one run apiece, so no
+  // run overlapped another.
+  const MetricPoint* runs = snap.Find("dfs.sweep.runs");
+  ASSERT_NE(runs, nullptr);
+  EXPECT_GT(runs->count, 0u);
+  EXPECT_EQ(runs->max, 1.0);
+  ASSERT_NE(snap.Find("dfs.sweep.overlap_us"), nullptr);
+  EXPECT_EQ(snap.CounterValue("dfs.sweep.overlap_us"), 0u);
   EXPECT_EQ(snap.CounterValue("txn.committed"), 1u);
 
   // The breakdown spans the whole stack: at least 6 distinct components
