@@ -18,24 +18,25 @@ using namespace logbase::bench;
 namespace {
 
 /// Loads `n` records with `writers` concurrent clients round-robining
-/// through the async SubmitPut/CompleteWrite pair; returns virtual seconds.
+/// through the async Submit/Complete pair; returns virtual seconds.
 double BatchedLoad(tablet::TabletServer* server, const std::string& uid,
                    const workload::YcsbWorkload& workload, uint64_t n,
                    dfs::Dfs* dfs, int writers) {
   ResetCosts(dfs);
   Random rnd(4242);
   return TimedRun([&] {
-    std::deque<tablet::PendingWrite> inflight;
+    std::deque<tablet::StagedWrite> inflight;
     auto complete_front = [&] {
-      tablet::PendingWrite pending = std::move(inflight.front());
+      tablet::StagedWrite staged = std::move(inflight.front());
       inflight.pop_front();
-      if (!server->CompleteWrite(&pending).ok()) std::abort();
+      if (!server->Complete(&staged).ok()) std::abort();
     };
     for (uint64_t i = 0; i < n; i++) {
-      auto pending = server->SubmitPut(
-          uid, {{workload.KeyAt(i), workload.MakeValue(&rnd)}});
-      if (!pending.ok()) std::abort();
-      inflight.push_back(std::move(*pending));
+      tablet::WriteSet set;
+      set.Put(uid, workload.KeyAt(i), workload.MakeValue(&rnd));
+      auto staged = server->Submit(std::move(set));
+      if (!staged.ok()) std::abort();
+      inflight.push_back(std::move(*staged));
       if (inflight.size() >= static_cast<size_t>(writers)) complete_front();
     }
     while (!inflight.empty()) complete_front();

@@ -74,21 +74,22 @@ RunResult RunWriters(WriteFixture* f, int writers, uint64_t n,
   result.seconds = TimedRun([&] {
     sim::SimContext* ctx = sim::SimContext::Current();
     struct Inflight {
-      tablet::PendingWrite pending;
+      tablet::StagedWrite staged;
       sim::VirtualTime submitted_at;
     };
     std::deque<Inflight> inflight;
     auto complete_front = [&] {
       Inflight f_op = std::move(inflight.front());
       inflight.pop_front();
-      if (!f->server->CompleteWrite(&f_op.pending).ok()) std::abort();
+      if (!f->server->Complete(&f_op.staged).ok()) std::abort();
       latency.Add(static_cast<double>(ctx->now() - f_op.submitted_at));
     };
     for (uint64_t i = 0; i < n; i++) {
-      auto pending = f->server->SubmitPut(
-          f->uid, {{workload.KeyAt(i), workload.MakeValue(&rnd)}}, ack);
-      if (!pending.ok()) std::abort();
-      inflight.push_back(Inflight{std::move(*pending), ctx->now()});
+      tablet::WriteSet set;
+      set.Put(f->uid, workload.KeyAt(i), workload.MakeValue(&rnd));
+      auto staged = f->server->Submit(std::move(set), ack);
+      if (!staged.ok()) std::abort();
+      inflight.push_back(Inflight{std::move(*staged), ctx->now()});
       if (inflight.size() >= static_cast<size_t>(writers)) complete_front();
     }
     while (!inflight.empty()) complete_front();

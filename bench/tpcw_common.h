@@ -66,9 +66,11 @@ inline TpcwResult RunTpcw(int nodes, workload::TpcwMix mix,
                                                  uids) {
       for (int i = 0; i < nodes; i++) {
         if (batches[i].empty()) continue;
-        if (!fixture.servers[i]->PutBatch(uids[i], batches[i]).ok()) {
-          std::abort();
+        tablet::WriteSet set;
+        for (auto& [key, value] : batches[i]) {
+          set.Put(uids[i], std::move(key), std::move(value));
         }
+        if (!fixture.servers[i]->Write(std::move(set)).ok()) std::abort();
         batches[i].clear();
       }
     };

@@ -374,6 +374,8 @@ GUARDED_BY_ALLOWLIST = {
     'src/replica/replica_server.h#quota_registry_',
     'src/replica/replica_server.h#admission_',
     'src/tablet/tablet_server.h#buffer_',
+    # The write path's staged set carries kTabletServerWrites.
+    'src/tablet/tablet_server.h#writes_',
     'src/replica/replica_server.h#buffer_',
     'src/obs/metrics.h#shards_',
     'src/sim/disk_model.h#resource_',

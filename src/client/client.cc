@@ -224,40 +224,34 @@ Status LogBaseClient::NormalizeServerStatus(const Status& s) {
 Status LogBaseClient::PutBatchAttempt(const std::string& table,
                                       const WriteBatch& batch,
                                       log::AckMode ack) {
-  // Coalesce consecutive same-tablet puts into one server-side batch so the
-  // group-commit queue sees multi-record submissions. A delete or a tablet
-  // switch flushes the run first, preserving insertion order.
+  // Coalesce each run of consecutive same-tablet ops, deletes included,
+  // into one server-side write set so the group-commit queue sees
+  // multi-record submissions. A tablet switch flushes the run first,
+  // preserving insertion order.
   Route run_route;
-  std::vector<std::pair<std::string, std::string>> run_kvs;
+  tablet::WriteSet run;
   auto flush_run = [&]() -> Status {
-    if (run_kvs.empty()) return Status::OK();
+    if (run.ops.empty()) return Status::OK();
     auto server = ServerFor(run_route);
     if (!server.ok()) return server.status();
     uint64_t bytes = 0;
-    for (const auto& [k, v] : run_kvs) bytes += k.size() + v.size();
+    for (const tablet::WriteOp& op : run.ops) {
+      bytes += op.key.size() + op.value.size();
+    }
     ChargeRpc(run_route.server_id, bytes + 64, 32);
-    Status s = NormalizeServerStatus(
-        (*server)->PutBatch(run_route.tablet_uid, run_kvs, ack));
-    run_kvs.clear();
+    Status s = NormalizeServerStatus((*server)->Write(std::move(run), ack));
+    run = {};
     return s;
   };
   for (const WriteBatch::Op& op : batch.ops()) {
     auto route = Resolve(table, op.column_group, Slice(op.key));
     if (!route.ok()) return route.status();
-    if (op.is_delete) {
-      LOGBASE_RETURN_NOT_OK(flush_run());
-      auto server = ServerFor(*route);
-      if (!server.ok()) return server.status();
-      ChargeRpc(route->server_id, op.key.size() + 64, 32);
-      LOGBASE_RETURN_NOT_OK(NormalizeServerStatus(
-          (*server)->Delete(route->tablet_uid, Slice(op.key), ack)));
-      continue;
-    }
-    if (!run_kvs.empty() && route->tablet_uid != run_route.tablet_uid) {
+    if (!run.ops.empty() && route->tablet_uid != run_route.tablet_uid) {
       LOGBASE_RETURN_NOT_OK(flush_run());
     }
     run_route = *route;
-    run_kvs.emplace_back(op.key, op.value);
+    run.ops.push_back(
+        tablet::WriteOp{route->tablet_uid, op.key, op.value, op.is_delete});
   }
   return flush_run();
 }

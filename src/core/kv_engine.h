@@ -43,10 +43,13 @@ class TabletServerEngine : public KvEngine {
              const Slice& value) override {
     return server_->Put(uid, key, value);
   }
+  /// One write set: a single group-committed log append.
   Status PutBatch(const std::string& uid,
                   const std::vector<std::pair<std::string, std::string>>& kvs)
       override {
-    return server_->PutBatch(uid, kvs);
+    tablet::WriteSet set;
+    for (const auto& [key, value] : kvs) set.Put(uid, key, value);
+    return server_->Write(std::move(set));
   }
   Result<tablet::ReadValue> Get(const std::string& uid,
                                 const Slice& key) override {

@@ -166,6 +166,9 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   uint64_t seq = 0;
   std::map<std::string, uint64_t> max_acked;
   std::map<std::string, std::set<uint64_t>> attempted;
+  // Deletes: every attempt's seq, and the highest acked one, per key.
+  std::map<std::string, std::set<uint64_t>> delete_attempted;
+  std::map<std::string, uint64_t> max_acked_delete;
   std::set<uint64_t> pair_acked;
   std::set<uint64_t> shed_seqs;  // hostile seqs rejected by admission (I7)
   std::vector<SnapshotSample> samples;
@@ -240,16 +243,26 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
     }
 
     uint64_t dice = rnd.Uniform(100);
-    if (dice < 50) {  // blind write
+    if (dice < 50) {  // blind write, one in ten a delete
+      const bool is_delete = dice >= 45;
       seq++;
       std::string key = KeyName(static_cast<int>(
           rnd.Uniform(static_cast<uint64_t>(options.keys))));
-      attempted[key].insert(seq);
+      (is_delete ? delete_attempted : attempted)[key].insert(seq);
       report.ops_attempted++;
-      Status s = client->Put(kTable, 0, key, EncodeSeq(seq), {});
+      if (is_delete) {
+        // A delete removes every version of the key (§3.6.3), so as-of
+        // reads sampled before it no longer hold (I2, I6).
+        auto sampled = [&key](const SnapshotSample& s) { return s.key == key; };
+        std::erase_if(samples, sampled);
+        std::erase_if(stale_samples, sampled);
+      }
+      Status s = is_delete ? client->Delete(kTable, 0, key, {})
+                           : client->Put(kTable, 0, key, EncodeSeq(seq), {});
       if (s.ok()) {
         report.ops_acked++;
-        max_acked[key] = std::max(max_acked[key], seq);
+        uint64_t& acked = (is_delete ? max_acked_delete : max_acked)[key];
+        acked = std::max(acked, seq);
       }
     } else if (dice < 80) {  // read (and maybe keep a snapshot sample)
       std::string key = KeyName(static_cast<int>(
@@ -471,15 +484,20 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
   for (const std::string& key : all_keys) {
     bool ever_acked = max_acked.count(key) > 0;
     auto r = checker->Get(kTable, 0, key, client::ReadOptions{});
-    if (!r.ok()) {
+    const std::set<uint64_t>& deletes = delete_attempted[key];
+    // A deleted key reads NotFound.
+    const bool deleted = !r.ok() && r.status().IsNotFound() && !deletes.empty();
+    if (!r.ok() && !deleted) {
       if (ever_acked || !attempted[key].empty()) {
         report.violations.push_back("I1: " + key + " unreadable after heal: " +
                                     r.status().ToString());
       }
       continue;
     }
-    if (!r->found()) {
-      if (ever_acked) {
+    if (deleted || !r->found()) {
+      // Absence is legal once a delete was attempted after the last acked
+      // write.
+      if (ever_acked && deletes.upper_bound(max_acked[key]) == deletes.end()) {
         report.violations.push_back("I1: acked write to " + key +
                                     " lost (no value survives)");
       }
@@ -500,6 +518,14 @@ Result<NemesisReport> RunNemesis(const NemesisOptions& options,
       report.violations.push_back(
           "I1: " + key + " regressed to seq " + std::to_string(got) +
           " below acked seq " + std::to_string(max_acked[key]));
+    }
+    // An acked delete is never undone: a surviving value was written after
+    // it.
+    if (max_acked_delete.count(key) > 0 && got < max_acked_delete[key]) {
+      report.violations.push_back(
+          "I1: acked delete of " + key + " at seq " +
+          std::to_string(max_acked_delete[key]) + " undone by seq " +
+          std::to_string(got));
     }
   }
   // Atomic pair: a mismatch is only legal when one side is an in-doubt

@@ -4,9 +4,15 @@
 //
 //   I1 (durability)   — no acknowledged write is lost: every key's final
 //                       value carries a sequence number >= the highest
-//                       acknowledged one, and was actually attempted.
+//                       acknowledged one, and was actually attempted. A
+//                       key may be absent only if a delete was attempted
+//                       after its last acked write, and an acked delete is
+//                       never undone: a surviving value was written after
+//                       it.
 //   I2 (snapshots)    — historical reads are stable: samples taken during
-//                       the run re-read identically via as-of reads.
+//                       the run re-read identically via as-of reads. A
+//                       delete removes every version of its key, so it
+//                       drops that key's earlier samples (I6's too).
 //   I3 (replication)  — after the under-replication sweep every DFS block
 //                       has min(replication, live nodes) live replicas, each
 //                       actually holding the bytes.

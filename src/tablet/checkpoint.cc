@@ -89,9 +89,13 @@ Status WriteServerCheckpoint(TabletServer* server) {
 
   // Capture the position FIRST: index entries created after it will simply
   // be redone on recovery (redo is an idempotent upsert). Flush drains any
-  // open group-commit batch so the position covers every acked write.
+  // open group-commit batch so the position covers every acked write. A
+  // write durable but not yet published is missing from the index files
+  // below, so the position stops at the oldest staged record: redo applies
+  // it (and a 2PC share whose COMMIT lies past the tail) again.
   LOGBASE_RETURN_NOT_OK(server->writer_->Flush());
-  log::LogPosition position = server->writer_->Position();
+  log::LogPosition position =
+      server->writes_.StagedFloor(server->writer_->Position());
   uint64_t next_lsn = server->writer_->next_lsn();
 
   std::vector<std::pair<TabletDescriptor, uint32_t>> descriptors;

@@ -128,6 +128,7 @@ void TabletServer::Crash() {
     readers_.clear();
   }
   buffer_.Clear();
+  writes_.Clear();
   MutexLock l(ts_mu_);
   ts_next_ = ts_limit_ = 0;
 }
@@ -257,10 +258,7 @@ Tablet* TabletServer::RouteRecord(const log::LogRecord& record) {
 }
 
 Status TabletServer::SealTablet(const std::string& uid) {
-  Tablet* tablet = FindTablet(uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  tablet->Seal();
-  return Status::OK();
+  return writes_.Seal(uid);
 }
 
 Status TabletServer::UnsealTablet(const std::string& uid) {
@@ -367,104 +365,38 @@ void TabletServer::AdvanceTimestampsBeyond(uint64_t ts) {
   ts_next_ = ts_limit_ = 0;
 }
 
-Status TabletServer::MaybeAutoCheckpoint(Tablet* tablet) {
-  if (options_.checkpoint_update_threshold == 0) return Status::OK();
-  if (tablet->updates_since_persist() <
-      options_.checkpoint_update_threshold) {
-    return Status::OK();
-  }
-  return Checkpoint();
-}
-
 // ---------------------------------------------------------------------------
 // Auto-committed operations.
 // ---------------------------------------------------------------------------
 
+Result<StagedWrite> TabletServer::Submit(WriteSet set, log::AckMode ack) {
+  return writes_.Stage(std::move(set), ack);
+}
+
+Status TabletServer::Complete(StagedWrite* staged) {
+  LOGBASE_RETURN_NOT_OK(writes_.Complete(staged));
+  return staged->checkpoint_due ? Checkpoint() : Status::OK();
+}
+
+Status TabletServer::Write(WriteSet set, log::AckMode ack) {
+  obs::Span span("tablet.put");
+  auto staged = Submit(std::move(set), ack);
+  if (!staged.ok()) return staged.status();
+  return Complete(&*staged);
+}
+
 Status TabletServer::Put(const std::string& tablet_uid, const Slice& key,
                          const Slice& value, log::AckMode ack) {
-  obs::Span span("tablet.put");
-  auto pending = SubmitPut(
-      tablet_uid, {{key.ToString(), value.ToString()}}, ack);
-  if (!pending.ok()) return pending.status();
-  return CompleteWrite(&*pending);
+  WriteSet set;
+  set.Put(tablet_uid, key.ToString(), value.ToString());
+  return Write(std::move(set), ack);
 }
 
-Status TabletServer::PutBatch(
-    const std::string& tablet_uid,
-    const std::vector<std::pair<std::string, std::string>>& kvs,
-    log::AckMode ack) {
-  auto pending = SubmitPut(tablet_uid, kvs, ack);
-  if (!pending.ok()) return pending.status();
-  return CompleteWrite(&*pending);
-}
-
-Result<PendingWrite> TabletServer::SubmitPut(
-    const std::string& tablet_uid,
-    const std::vector<std::pair<std::string, std::string>>& kvs,
-    log::AckMode ack) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  // Admission before any state is touched: a shed write must not have
-  // recorded load, drawn timestamps, or enqueued log records (I7).
-  uint64_t payload = 0;
-  for (const auto& [key, value] : kvs) payload += key.size() + value.size();
-  LOGBASE_RETURN_NOT_OK(
-      admission_.Admit(tablet_uid, kvs.empty() ? 1 : kvs.size(), payload));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  for (const auto& [key, value] : kvs) {
-    tablet->RecordWrite(key.size() + value.size());
-  }
-
-  PendingWrite pending;
-  pending.tablet_uid = tablet_uid;
-  pending.kvs = kvs;
-  std::vector<log::LogRecord> records;
-  records.reserve(kvs.size());
-  for (const auto& [key, value] : kvs) {
-    uint64_t ts = NextLocalTimestamp();
-    pending.timestamps.push_back(ts);
-    log::LogRecord record;
-    record.type = log::LogRecordType::kData;
-    record.key.table_id = tablet->descriptor().table_id;
-    record.key.tablet_id = tablet->descriptor().packed_id();
-    record.row.primary_key = key;
-    record.row.column_group = tablet->descriptor().column_group;
-    record.row.timestamp = ts;
-    record.value = value;
-    record.commit_ts = ts;
-    records.push_back(std::move(record));
-  }
-  // Log first (the log IS the data repository): enqueue into the
-  // group-commit batch. Nothing is indexed or acked yet.
-  auto ticket = writer_->Submit(&records, ack);
-  if (!ticket.ok()) return ticket.status();
-  pending.ticket = *ticket;
-  return pending;
-}
-
-Status TabletServer::CompleteWrite(PendingWrite* pending) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  std::vector<log::LogPtr> ptrs;
-  LOGBASE_RETURN_NOT_OK(writer_->Wait(pending->ticket, &ptrs));
-  // The batch is durable; publish index entries, then cache.
-  Tablet* tablet = FindTablet(pending->tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  for (size_t i = 0; i < pending->kvs.size(); i++) {
-    LOGBASE_RETURN_NOT_OK(tablet->index()->Insert(
-        Slice(pending->kvs[i].first), pending->timestamps[i], ptrs[i]));
-    tablet->RecordUpdate();
-    buffer_.Put(BufferKey(pending->tablet_uid, Slice(pending->kvs[i].first)),
-                CachedRecord{pending->timestamps[i], pending->kvs[i].second});
-    if (tablet->has_secondary_indexes()) {
-      LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryWrite(
-          Slice(pending->kvs[i].first), pending->timestamps[i],
-          Slice(pending->kvs[i].second)));
-    }
-  }
-  return MaybeAutoCheckpoint(tablet);
+Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
+                            log::AckMode ack) {
+  WriteSet set;
+  set.Delete(tablet_uid, key.ToString());
+  return Write(std::move(set), ack);
 }
 
 Result<ReadValue> TabletServer::Get(const std::string& tablet_uid,
@@ -504,37 +436,6 @@ Result<std::vector<ReadRow>> TabletServer::GetVersions(
   }
   tablet->RecordRead(bytes);
   return rows;
-}
-
-Status TabletServer::Delete(const std::string& tablet_uid, const Slice& key,
-                            log::AckMode ack) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(tablet_uid, 1, key.size()));
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size());
-
-  // Step 1: drop index entries so no query can reach the record. Step 2:
-  // persist an invalidated entry so restarts re-apply the deletion (§3.6.3).
-  LOGBASE_RETURN_NOT_OK(tablet->index()->RemoveAllVersions(key));
-  log::LogRecord record;
-  record.type = log::LogRecordType::kInvalidate;
-  record.key.table_id = tablet->descriptor().table_id;
-  record.key.tablet_id = tablet->descriptor().packed_id();
-  record.row.primary_key = key.ToString();
-  record.row.column_group = tablet->descriptor().column_group;
-  record.row.timestamp = NextLocalTimestamp();
-  auto ptr = writer_->Append(std::move(record), ack);
-  if (!ptr.ok()) return ptr.status();
-  tablet->RecordUpdate();
-  buffer_.Invalidate(BufferKey(tablet_uid, key));
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryDelete(key));
-  }
-  return Status::OK();
 }
 
 Result<query::TabletResult> TabletServer::ExecuteScan(
@@ -593,63 +494,6 @@ Result<uint64_t> TabletServer::FullScanCount(const std::string& tablet_uid) {
 // ---------------------------------------------------------------------------
 // Transaction support.
 // ---------------------------------------------------------------------------
-
-Result<std::vector<log::LogPtr>> TabletServer::AppendBatch(
-    std::vector<log::LogRecord>* records, log::AckMode ack) {
-  if (!running()) return Status::Unavailable("tablet server is down");
-  // Transactional front door: gate the whole batch before it reaches the
-  // log. Publishes of an already-appended batch are not re-gated (shedding
-  // half a committed transaction would violate atomicity).
-  uint64_t payload = 0;
-  for (const log::LogRecord& r : *records) payload += r.value.size();
-  LOGBASE_RETURN_NOT_OK(admission_.Admit(
-      "", records->empty() ? 1 : records->size(), payload));
-  std::vector<log::LogPtr> ptrs;
-  LOGBASE_RETURN_NOT_OK(writer_->AppendBatch(records, &ptrs, ack));
-  return ptrs;
-}
-
-Status TabletServer::PublishWrite(const std::string& tablet_uid,
-                                  const Slice& key, uint64_t timestamp,
-                                  const log::LogPtr& ptr,
-                                  const Slice& value) {
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size() + value.size());
-  LOGBASE_RETURN_NOT_OK(tablet->index()->Insert(key, timestamp, ptr));
-  // The commit timestamp came from the coordinator, not from this server's
-  // cached block: later auto-commit writes must draw above it or they would
-  // sort below the transaction's version and stay invisible.
-  AdvanceTimestampsBeyond(timestamp);
-  tablet->RecordUpdate();
-  buffer_.Put(BufferKey(tablet_uid, key),
-              CachedRecord{timestamp, value.ToString()});
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(
-        tablet->NotifySecondaryWrite(key, timestamp, value));
-  }
-  return Status::OK();
-}
-
-Status TabletServer::PublishDelete(const std::string& tablet_uid,
-                                   const Slice& key) {
-  Tablet* tablet = FindTablet(tablet_uid);
-  if (tablet == nullptr) return Status::NotFound("unknown tablet");
-  if (tablet->sealed()) {
-    return Status::Unavailable("tablet sealed for migration: " + tablet_uid);
-  }
-  tablet->RecordWrite(key.size());
-  LOGBASE_RETURN_NOT_OK(tablet->index()->RemoveAllVersions(key));
-  tablet->RecordUpdate();
-  buffer_.Invalidate(BufferKey(tablet_uid, key));
-  if (tablet->has_secondary_indexes()) {
-    LOGBASE_RETURN_NOT_OK(tablet->NotifySecondaryDelete(key));
-  }
-  return Status::OK();
-}
 
 Result<uint64_t> TabletServer::LatestVersion(const std::string& tablet_uid,
                                              const Slice& key) {

@@ -1,8 +1,8 @@
 // The tablet server (paper §3.3/§3.6): a single log instance in the DFS as
 // the *only* data repository, one in-memory multiversion index per column
 // group per tablet, an optional read buffer, checkpointing, recovery and log
-// compaction. Transactions layer on top through the Append/Publish
-// primitives (src/txn/).
+// compaction. Every write, auto-committed or transactional, runs the one
+// write path (write_path.h); transactions (src/txn/) drive its steps.
 
 #ifndef LOGBASE_TABLET_TABLET_SERVER_H_
 #define LOGBASE_TABLET_TABLET_SERVER_H_
@@ -28,6 +28,7 @@
 #include "src/tablet/read_buffer.h"
 #include "src/tablet/read_path.h"
 #include "src/tablet/tablet.h"
+#include "src/tablet/write_path.h"
 
 #include "src/util/ordered_mutex.h"
 
@@ -104,16 +105,6 @@ Result<CheckpointSeed> SeedFromCheckpoint(FileSystem* fs,
                                           index::MultiVersionIndex* dest,
                                           RecoveryStats* stats = nullptr);
 
-/// An in-flight asynchronous write: the log ticket plus everything needed
-/// to publish the write once its group-commit batch is durable. Obtained
-/// from TabletServer::SubmitPut, completed by TabletServer::CompleteWrite.
-struct PendingWrite {
-  log::AppendTicket ticket;
-  std::string tablet_uid;
-  std::vector<std::pair<std::string, std::string>> kvs;
-  std::vector<uint64_t> timestamps;
-};
-
 class TabletServer {
  public:
   TabletServer(TabletServerOptions options, dfs::Dfs* dfs,
@@ -151,7 +142,8 @@ class TabletServer {
                      uint32_t source_instance,
                      RecoveryStats* stats = nullptr);
   /// Migration fencing: a sealed tablet rejects writes with a retryable
-  /// error until unsealed or closed. NotFound when the tablet is unknown.
+  /// error until unsealed or closed. NotFound when the tablet is unknown,
+  /// Busy while a write staged on it is unpublished (retry later).
   Status SealTablet(const std::string& uid);
   Status UnsealTablet(const std::string& uid);
   /// Drops a tablet this server no longer owns (migrated away or replaced
@@ -174,24 +166,21 @@ class TabletServer {
 
   // -- Auto-committed data operations (§3.6) ----------------------------
 
+  /// The auto-commit entry: `set` (txn_id 0) through the write path as one
+  /// group-committed log append. Only after this returns OK may the write
+  /// be acknowledged (invariant I1: acked writes survive crashes).
+  Status Write(WriteSet set, log::AckMode ack = log::AckMode::kQuorum);
+  /// Write's two halves, for callers that pipeline writes: Submit stages
+  /// the set (not visible, not acked); Complete makes it durable, publishes
+  /// it and checkpoints once a tablet it wrote reached
+  /// checkpoint_update_threshold.
+  Result<StagedWrite> Submit(WriteSet set,
+                             log::AckMode ack = log::AckMode::kQuorum);
+  Status Complete(StagedWrite* staged);
   Status Put(const std::string& tablet_uid, const Slice& key,
              const Slice& value, log::AckMode ack = log::AckMode::kQuorum);
-  /// Bulk write: one group-committed log append for the whole batch.
-  Status PutBatch(const std::string& tablet_uid,
-                  const std::vector<std::pair<std::string, std::string>>& kvs,
-                  log::AckMode ack = log::AckMode::kQuorum);
-  /// Async half of a write: stamps timestamps and enqueues the records into
-  /// the log's group-commit queue without waiting for durability. The write
-  /// is NOT visible (not indexed, not acked) until CompleteWrite.
-  Result<PendingWrite> SubmitPut(
-      const std::string& tablet_uid,
-      const std::vector<std::pair<std::string, std::string>>& kvs,
-      log::AckMode ack = log::AckMode::kQuorum);
-  /// Completes a SubmitPut: waits for the batch's durability ack, then
-  /// publishes the write into the index + read buffer. Only after this
-  /// returns OK may the write be acknowledged to a client (invariant I1:
-  /// acked writes survive crashes).
-  Status CompleteWrite(PendingWrite* pending);
+  Status Delete(const std::string& tablet_uid, const Slice& key,
+                log::AckMode ack = log::AckMode::kQuorum);
   /// Point read at `as_of` (latest by default) through the shared read
   /// path (read_path.h); only latest reads fill the read buffer.
   Result<ReadValue> Get(const std::string& tablet_uid, const Slice& key,
@@ -199,8 +188,6 @@ class TabletServer {
   /// All versions of a key, newest first (multiversion access).
   Result<std::vector<ReadRow>> GetVersions(const std::string& tablet_uid,
                                            const Slice& key);
-  Status Delete(const std::string& tablet_uid, const Slice& key,
-                log::AckMode ack = log::AckMode::kQuorum);
   /// Full scan with index version check (§3.6.4): returns the number of
   /// records whose stored version is current.
   Result<uint64_t> FullScanCount(const std::string& tablet_uid);
@@ -221,17 +208,9 @@ class TabletServer {
 
   // -- Transaction support (used by txn::TransactionManager) ------------
 
-  /// Group-commits a batch of prepared records into the log.
-  Result<std::vector<log::LogPtr>> AppendBatch(
-      std::vector<log::LogRecord>* records,
-      log::AckMode ack = log::AckMode::kQuorum);
-  /// Publishes a committed write into the index + read buffer.
-  Status PublishWrite(const std::string& tablet_uid, const Slice& key,
-                      uint64_t timestamp, const log::LogPtr& ptr,
-                      const Slice& value);
-  /// Publishes a committed delete (index removal; the INVALIDATE record must
-  /// already be in the batch).
-  Status PublishDelete(const std::string& tablet_uid, const Slice& key);
+  /// A transaction stages, makes durable and publishes each participant's
+  /// share through the write path's steps.
+  WritePath* write_path() { return &writes_; }
   /// Latest committed version of a key (0 when absent) — MVOCC validation.
   Result<uint64_t> LatestVersion(const std::string& tablet_uid,
                                  const Slice& key);
@@ -298,6 +277,7 @@ class TabletServer {
   qos::AdmissionController* admission() { return &admission_; }
 
  private:
+  friend class WritePath;
   friend Status RunRecovery(TabletServer* server, RecoveryStats* stats);
   friend Status WriteServerCheckpoint(TabletServer* server);
   friend Status RunCompaction(TabletServer* server,
@@ -311,7 +291,6 @@ class TabletServer {
   ReadContext ReadContextFor(const std::string& tablet_uid, Tablet* tablet) {
     return ReadContext{&buffer_, Slice(tablet_uid), tablet->index(), &logs_};
   }
-  Status MaybeAutoCheckpoint(Tablet* tablet);
   /// Restart fencing: drops recovered tablets whose persisted assignment
   /// names another server (they were adopted while this process was down;
   /// serving the stale copies would fork history).
@@ -353,6 +332,7 @@ class TabletServer {
   // Set in Start() before data-path threads exist; LogWriter is internally
   // synchronized.
   std::unique_ptr<log::LogWriter> writer_;
+  WritePath writes_{this};  // internally synchronized (its own ranked mu_)
   OrderedMutex readers_mu_{lockrank::kTabletServerReaders,
                          "tablet.server.readers"};
   // Values are stable: an opened reader lives until Stop/Crash, and

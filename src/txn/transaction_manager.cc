@@ -123,109 +123,83 @@ Status TransactionManager::ValidateLocked(Transaction* txn) {
 
 Status TransactionManager::PersistAndPublish(Transaction* txn,
                                              log::AckMode ack) {
-  // Group writes per participant server, keyed by server id so the 2PC
+  // One write set per participant server, keyed by server id so the 2PC
   // append order is the same on every run.
   struct Participant {
-    tablet::TabletServer* server;
-    std::vector<log::LogRecord> records;
-    std::vector<const TxnCell*> cells;  // parallel to records
-    std::vector<log::LogPtr> ptrs;      // parallel to records, once appended
+    tablet::WritePath* path = nullptr;
+    tablet::WriteSet set;
+    tablet::StagedWrite staged;
   };
   std::map<int, Participant> participants;
 
   for (const auto& [cell, write] : txn->writes()) {
     tablet::TabletServer* server = resolver_(cell.tablet_uid);
     if (server == nullptr) return Status::Unavailable("no server for tablet");
-    tablet::Tablet* tablet = server->FindTablet(cell.tablet_uid);
-    if (tablet == nullptr) return Status::NotFound("unknown tablet");
-
     Participant& p = participants[server->server_id()];
-    p.server = server;
-    log::LogRecord record;
-    record.type = write.is_delete ? log::LogRecordType::kInvalidate
-                                  : log::LogRecordType::kData;
-    record.key.table_id = tablet->descriptor().table_id;
-    record.key.tablet_id = tablet->descriptor().packed_id();
-    record.txn_id = txn->id();
-    record.row.primary_key = cell.key;
-    record.row.column_group = tablet->descriptor().column_group;
-    record.row.timestamp = txn->commit_ts();
-    record.value = write.value;
-    record.commit_ts = txn->commit_ts();
-    p.records.push_back(std::move(record));
-    p.cells.push_back(&cell);
+    p.path = server->write_path();
+    p.set.txn_id = txn->id();
+    p.set.commit_ts = txn->commit_ts();
+    p.set.ops.push_back(tablet::WriteOp{cell.tablet_uid, cell.key,
+                                        write.value, write.is_delete});
   }
-
-  auto make_commit_record = [txn]() {
-    log::LogRecord commit;
-    commit.type = log::LogRecordType::kCommit;
-    commit.txn_id = txn->id();
-    commit.commit_ts = txn->commit_ts();
-    return commit;
-  };
 
   if (participants.size() == 1) {
     // Fast path: data + COMMIT in one group-committed append (§3.7.2).
     Participant& p = participants.begin()->second;
-    p.records.push_back(make_commit_record());
-    auto appended = p.server->AppendBatch(&p.records, ack);
-    if (!appended.ok()) return appended.status();
-    appended->pop_back();  // drop the commit record's ptr
-    p.records.pop_back();
-    p.ptrs = std::move(*appended);
-  } else {
-    // 2PC phase one writes the data records on every participant at once:
-    // each append runs on a child clock from the same start, and the caller
-    // advances to the latest completion. Every append is tried; any failure
-    // returns before a COMMIT exists anywhere, so the data stays invisible
-    // and replay drops it.
-    sim::SimContext* ctx = sim::SimContext::Current();
-    const sim::VirtualTime base = ctx != nullptr ? ctx->now() : 0;
-    sim::VirtualTime finish = base;
-    Status phase_one;
-    for (auto& [server_id, p] : participants) {
-      sim::SimContext child(base);
-      auto appended = [&] {
-        sim::SimContext::Scope scope(ctx != nullptr ? &child : nullptr);
-        return p.server->AppendBatch(&p.records, ack);
-      }();
-      finish = std::max(finish, child.now());
-      if (appended.ok()) {
-        p.ptrs = std::move(*appended);
-      } else if (phase_one.ok()) {
-        phase_one = appended.status();
-      }
-    }
-    if (ctx != nullptr) ctx->AdvanceTo(finish);
-    LOGBASE_RETURN_NOT_OK(phase_one);
-    // Phase two makes the transaction durable-visible everywhere. COMMITs
-    // go out one at a time in participant order and stop at the first
-    // failure: sent in parallel, a failed first COMMIT could sit beside a
-    // durable second one.
-    for (auto& [server_id, p] : participants) {
-      std::vector<log::LogRecord> commit_batch;
-      commit_batch.push_back(make_commit_record());
-      auto appended = p.server->AppendBatch(&commit_batch, ack);
-      if (!appended.ok()) return appended.status();
-    }
+    p.set.with_commit = true;
+    auto staged = p.path->Stage(std::move(p.set), ack);
+    if (!staged.ok()) return staged.status();
+    return p.path->Complete(&*staged);
   }
 
-  // Publication: only now do the writes become visible to reads.
+  // 2PC phase one stages and makes durable every participant's share at
+  // once: each runs on a child clock from the same start, and the caller
+  // advances to the latest completion. Every share is tried; any failure
+  // releases them all before a COMMIT exists anywhere, so the data stays
+  // invisible and replay drops it.
+  sim::SimContext* ctx = sim::SimContext::Current();
+  const sim::VirtualTime base = ctx != nullptr ? ctx->now() : 0;
+  sim::VirtualTime finish = base;
+  Status phase_one;
   for (auto& [server_id, p] : participants) {
-    for (size_t i = 0; i < p.cells.size(); i++) {
-      const TxnCell& cell = *p.cells[i];
-      const BufferedWrite& write = txn->writes().at(cell);
-      if (write.is_delete) {
-        LOGBASE_RETURN_NOT_OK(
-            p.server->PublishDelete(cell.tablet_uid, Slice(cell.key)));
-      } else {
-        LOGBASE_RETURN_NOT_OK(p.server->PublishWrite(
-            cell.tablet_uid, Slice(cell.key), txn->commit_ts(),
-            p.ptrs[i], Slice(write.value)));
-      }
-    }
+    sim::SimContext child(base);
+    Status durable = [&] {
+      sim::SimContext::Scope scope(ctx != nullptr ? &child : nullptr);
+      auto staged = p.path->Stage(std::move(p.set), ack);
+      if (!staged.ok()) return staged.status();
+      p.staged = std::move(*staged);
+      return p.path->MakeDurable(&p.staged);
+    }();
+    finish = std::max(finish, child.now());
+    if (phase_one.ok()) phase_one = durable;
   }
-  return Status::OK();
+  if (ctx != nullptr) ctx->AdvanceTo(finish);
+  if (!phase_one.ok()) {
+    for (auto& [server_id, p] : participants) p.path->Release(&p.staged);
+    return phase_one;
+  }
+
+  // Phase two: COMMITs go out one at a time in participant order and stop
+  // at the first failure. Sent in parallel, a failed first COMMIT could sit
+  // beside a durable second one.
+  Status phase_two;
+  for (auto& [server_id, p] : participants) {
+    if (phase_two.ok()) {
+      phase_two = p.path->AppendCommit(txn->id(), txn->commit_ts(), ack);
+    }
+    if (!phase_two.ok()) p.path->Release(&p.staged);
+  }
+
+  // Publication: only now do the writes become visible to reads. A share
+  // whose COMMIT is durable is published even when a later COMMIT failed:
+  // replay applies it too.
+  Status published = phase_two;
+  for (auto& [server_id, p] : participants) {
+    if (p.staged.seq == 0) continue;  // released
+    Status s = p.path->Publish(&p.staged);
+    if (published.ok()) published = s;
+  }
+  return published;
 }
 
 Status TransactionManager::Commit(Transaction* txn, log::AckMode ack) {

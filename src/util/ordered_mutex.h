@@ -52,7 +52,10 @@ enum Rank : uint32_t {
   kHBaseServerTimestamps = 160, // baselines::HBaseServer::ts_mu_
   kHBaseTablet = 170,           // baselines::HBaseTablet::mu_
 
-  // Tablet server: tablets_mu_ is held across index-checkpoint DFS writes.
+  // Tablet server. The write path's staged set is held across tablet
+  // lookups, timestamp draws and the log tail read; tablets_mu_ is held
+  // across index-checkpoint DFS writes.
+  kTabletServerWrites = 195,    // tablet::WritePath::mu_
   kTabletServerTablets = 200,   // tablet::TabletServer::tablets_mu_
   kTabletServerReaders = 210,   // tablet::TabletServer::readers_mu_
   kTabletServerTimestamps = 220,// tablet::TabletServer::ts_mu_

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/cluster/mini_cluster.h"
+#include "src/obs/trace.h"
 #include "src/sim/sim_context.h"
 
 namespace logbase::cluster {
@@ -169,6 +170,42 @@ TEST(ClientTest, PutBatchSpansTabletsAndDeletes) {
   EXPECT_TRUE(f.client->Get("users", 0, "user5", client::ReadOptions{})
                   .status()
                   .IsNotFound());
+}
+
+// Put, delete and put of one key in one WriteBatch reach the tablet as one
+// server write (one log append). The last put is visible, and replay after
+// a crash reaches the same state.
+TEST(ClientTest, PutDeletePutIsOneServerWrite) {
+  ClusterFixture f;
+  ASSERT_TRUE(f.CreateUsersTable().ok());
+  ASSERT_TRUE(f.client->Put("users", 0, "user5", "stale", {}).ok());
+  client::WriteBatch batch;
+  batch.Put(0, "user5", "v1").Delete(0, "user5").Put(0, "user5", "v2");
+  sim::SimContext ctx;
+  obs::OpTracer tracer;
+  {
+    sim::SimContext::Scope sim_scope(&ctx);
+    obs::OpTracer::Scope trace_scope(&tracer);
+    ASSERT_TRUE(f.client->PutBatch("users", batch, {}).ok());
+  }
+  EXPECT_EQ(tracer.CountOf("tablet.put"), 1);
+  EXPECT_EQ(tracer.CountOf("log.append"), 1);
+
+  client::ReadOptions all;
+  all.all_versions = true;
+  auto before = f.client->Get("users", 0, "user5", all);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->rows.size(), 1u);
+  EXPECT_EQ(before->rows[0].value, "v2");
+  auto location = f.cluster->master()->Locate("users", 0, "user5");
+  ASSERT_TRUE(location.ok());
+  f.cluster->CrashServer(location->server_id);
+  ASSERT_TRUE(f.cluster->RestartServer(location->server_id).ok());
+  auto after = f.client->Get("users", 0, "user5", all);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->rows.size(), 1u);
+  EXPECT_EQ(after->rows[0].value, "v2");
+  EXPECT_EQ(after->rows[0].timestamp, before->rows[0].timestamp);
 }
 
 TEST(ClientTest, WriteDeadlineCapsRetries) {

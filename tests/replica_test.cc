@@ -145,28 +145,23 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
   auto before = rep->Watermark(uid);
   ASSERT_TRUE(before.ok());
 
-  // Craft an uncommitted transaction directly in the owner's log. Client
-  // transactions buffer writes until Commit, so data-without-COMMIT state —
-  // what the tailer must hold the watermark under — needs a raw AppendBatch.
+  // Stage an undecided transaction's share directly in the owner's log.
+  // Client transactions stage and commit in one call, so data-without-
+  // COMMIT state — what the tailer must hold the watermark under — needs
+  // the write path's steps driven one at a time.
   auto location = m->GetAssignment(uid);
   ASSERT_TRUE(location.ok());
   tablet::TabletServer* server = cluster.server(location->server_id);
-  tablet::Tablet* tablet = server->FindTablet(uid);
-  ASSERT_NE(tablet, nullptr);
+  tablet::WritePath* path = server->write_path();
   // A commit timestamp above every issued one, straight from the authority.
   const uint64_t txn_ts = cluster.coord()->ReserveTimestamps(0, 1);
-  log::LogRecord rec;
-  rec.type = log::LogRecordType::kData;
-  rec.key.table_id = tablet->descriptor().table_id;
-  rec.key.tablet_id = tablet->descriptor().packed_id();
-  rec.txn_id = 777;
-  rec.row.primary_key = Key(3);
-  rec.row.column_group = 0;
-  rec.row.timestamp = txn_ts;
-  rec.value = "txn-value";
-  rec.commit_ts = txn_ts;
-  std::vector<log::LogRecord> batch{rec};
-  ASSERT_TRUE(server->AppendBatch(&batch).ok());
+  tablet::WriteSet share;
+  share.txn_id = 777;
+  share.commit_ts = txn_ts;
+  share.Put(uid, Key(3), "txn-value");
+  auto staged = path->Stage(std::move(share));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(path->MakeDurable(&*staged).ok());
 
   // Auto-commit writes land above the pending transaction (the server may
   // first drain a cached timestamp block below txn_ts; write until one
@@ -189,12 +184,8 @@ TEST(ReplicaTest, TxnHoldbackAdvancesOnCommit) {
 
   // COMMIT decides it; the watermark catches up past the late writes and
   // the transactional value becomes readable at the replica.
-  log::LogRecord commit;
-  commit.type = log::LogRecordType::kCommit;
-  commit.txn_id = 777;
-  commit.commit_ts = txn_ts;
-  std::vector<log::LogRecord> commit_batch{commit};
-  ASSERT_TRUE(server->AppendBatch(&commit_batch).ok());
+  ASSERT_TRUE(path->AppendCommit(777, txn_ts, log::AckMode::kQuorum).ok());
+  ASSERT_TRUE(path->Publish(&*staged).ok());
   ASSERT_TRUE(cluster.TickReplicas().ok());
   auto advanced = rep->Watermark(uid);
   ASSERT_TRUE(advanced.ok());

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "src/dfs/dfs.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/query/plan.h"
 #include "src/sim/sim_context.h"
 #include "src/tablet/read_buffer.h"
@@ -286,7 +289,9 @@ TEST(TabletServerTest, PutBatchGroupCommits) {
   for (int i = 0; i < 50; i++) {
     kvs.emplace_back("batch" + std::to_string(i), "v" + std::to_string(i));
   }
-  ASSERT_TRUE(f.server->PutBatch(f.uid, kvs).ok());
+  WriteSet set;
+  for (const auto& [k, v] : kvs) set.Put(f.uid, k, v);
+  ASSERT_TRUE(f.server->Write(std::move(set)).ok());
   for (const auto& [k, v] : kvs) {
     EXPECT_EQ(f.server->Get(f.uid, k)->value, v);
   }
@@ -340,6 +345,206 @@ TEST(TabletServerTest, MultipleTabletsShareOneLog) {
 // ---------------------------------------------------------------------------
 // Checkpoint + recovery
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Write path: stage, make durable, publish
+// ---------------------------------------------------------------------------
+
+// A checkpoint taken between a write's durability and its publication must
+// not start redo past the write: its index snapshot lacks the write, which
+// is then acknowledged and has to survive a crash.
+TEST(WritePathTest, CheckpointNeverSkipsAnUnpublishedWrite) {
+  ServerFixture f;
+  WritePath* path = f.server->write_path();
+  WriteSet set;
+  set.Put(f.uid, "k", "v");
+  auto staged = path->Stage(std::move(set));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  ASSERT_TRUE(path->Complete(&*staged).ok());  // acknowledged
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  auto got = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, "v");
+}
+
+// A delete whose invalidate record never became durable is never published:
+// the key reads the same before and after a restart.
+TEST(WritePathTest, FailedDeleteReadsTheSameAcrossRestart) {
+  ServerFixture f;
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "old").ok());
+  for (int node = 0; node < 3; node++) {
+    f.dfs->data_node(node)->InjectIoErrors(1000);
+  }
+  EXPECT_FALSE(f.server->Delete(f.uid, "k").ok());
+  for (int node = 0; node < 3; node++) {
+    f.dfs->data_node(node)->InjectIoErrors(0);
+  }
+
+  auto before = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->value, "old");
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  auto after = f.server->Get(f.uid, "k");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->value, "old");
+}
+
+// A tablet is not sealed while a write staged on it is unpublished: the
+// seal is refused with Busy, the write publishes, and a later seal holds.
+TEST(WritePathTest, SealWaitsForStagedWrites) {
+  ServerFixture f;
+  WritePath* path = f.server->write_path();
+  WriteSet set;
+  set.Put(f.uid, "k", "v");
+  auto staged = path->Stage(std::move(set));
+  ASSERT_TRUE(staged.ok());
+  EXPECT_TRUE(f.server->SealTablet(f.uid).IsBusy());
+  ASSERT_TRUE(path->Complete(&*staged).ok());
+  EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v");
+
+  // A released (never published) write frees the tablet too.
+  WriteSet orphan;
+  orphan.txn_id = 7;
+  orphan.commit_ts = 1;
+  orphan.Put(f.uid, "orphan", "x");
+  auto released = path->Stage(std::move(orphan));
+  ASSERT_TRUE(released.ok());
+  EXPECT_TRUE(f.server->SealTablet(f.uid).IsBusy());
+  path->Release(&*released);
+
+  ASSERT_TRUE(f.server->SealTablet(f.uid).ok());
+  EXPECT_TRUE(f.server->Put(f.uid, "k", "v2").IsUnavailable());
+  ASSERT_TRUE(f.server->UnsealTablet(f.uid).ok());
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "v2").ok());
+  EXPECT_EQ(f.server->Get(f.uid, "k")->value, "v2");
+}
+
+// A delete and a write of one key publish in log order, as replay applies
+// them: while one is staged and unpublished the other is refused with Busy
+// (retryable) before it reaches the log. Unrelated keys are not held up.
+TEST(WritePathTest, DeleteAndPutOfOneKeyPublishInLogOrder) {
+  ServerFixture f;
+  WritePath* path = f.server->write_path();
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "old").ok());
+
+  // A delete staged ahead of a put of the same key...
+  WriteSet del;
+  del.Delete(f.uid, "k");
+  auto staged_delete = path->Stage(std::move(del));
+  ASSERT_TRUE(staged_delete.ok());
+  WriteSet put;
+  put.Put(f.uid, "k", "new");
+  EXPECT_TRUE(path->Stage(std::move(put)).status().IsBusy());
+  EXPECT_TRUE(f.server->Put(f.uid, "k", "new").IsBusy());
+  ASSERT_TRUE(f.server->Put(f.uid, "other", "x").ok());
+  ASSERT_TRUE(path->Complete(&*staged_delete).ok());
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "new").ok());
+
+  // ...and a put staged ahead of a delete of the same key.
+  WriteSet early;
+  early.Put(f.uid, "j", "v");
+  auto staged_put = path->Stage(std::move(early));
+  ASSERT_TRUE(staged_put.ok());
+  EXPECT_TRUE(f.server->Delete(f.uid, "j").IsBusy());
+  ASSERT_TRUE(path->Complete(&*staged_put).ok());
+  ASSERT_TRUE(f.server->Delete(f.uid, "j").ok());
+
+  auto check = [&f] {
+    auto k = f.server->Get(f.uid, "k");
+    ASSERT_TRUE(k.ok()) << k.status().ToString();
+    EXPECT_EQ(k->value, "new");
+    EXPECT_TRUE(f.server->Get(f.uid, "j").status().IsNotFound());
+    EXPECT_EQ(f.server->Get(f.uid, "other")->value, "x");
+  };
+  check();
+  ASSERT_TRUE(f.server->Checkpoint().ok());
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  check();
+}
+
+// Two threads put and delete the same keys while a third checkpoints; each
+// write retries while refused. Whatever order they won, a restart reads
+// every key exactly as the live server did.
+TEST(WritePathTest, ConcurrentPutsAndDeletesReplayToTheLiveState) {
+  ServerFixture f;
+  constexpr int kKeys = 4;
+  constexpr int kRounds = 60;
+  auto retry = [](const std::function<Status()>& write) {
+    Status s = write();
+    while (s.IsBusy()) s = write();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  };
+  std::thread putter([&] {
+    for (int i = 0; i < kRounds; i++) {
+      const std::string key = "k" + std::to_string(i % kKeys);
+      retry([&] { return f.server->Put(f.uid, key, std::to_string(i)); });
+    }
+  });
+  std::thread deleter([&] {
+    for (int i = 0; i < kRounds; i++) {
+      const std::string key = "k" + std::to_string((i + 1) % kKeys);
+      retry([&] { return f.server->Delete(f.uid, key); });
+    }
+  });
+  std::thread checkpointer([&] {
+    for (int i = 0; i < 5; i++) EXPECT_TRUE(f.server->Checkpoint().ok());
+  });
+  putter.join();
+  deleter.join();
+  checkpointer.join();
+
+  auto state = [&f] {
+    std::vector<std::string> values;
+    for (int k = 0; k < kKeys; k++) {
+      auto versions = f.server->GetVersions(f.uid, "k" + std::to_string(k));
+      EXPECT_TRUE(versions.ok());
+      std::string joined;
+      for (const ReadRow& row : *versions) joined += row.value + ",";
+      values.push_back(joined);
+    }
+    return values;
+  };
+  const std::vector<std::string> live = state();
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  EXPECT_EQ(state(), live);
+}
+
+// Put, delete and put of one key in one write set: one log append, the
+// last put visible, and replay reaches the same state.
+TEST(WritePathTest, PutDeletePutInOneWriteSet) {
+  ServerFixture f;
+  ASSERT_TRUE(f.server->Put(f.uid, "k", "first").ok());
+  WriteSet set;
+  set.Put(f.uid, "k", "second");
+  set.Delete(f.uid, "k");
+  set.Put(f.uid, "k", "third");
+  sim::SimContext ctx;
+  obs::OpTracer tracer;
+  {
+    sim::SimContext::Scope sim_scope(&ctx);
+    obs::OpTracer::Scope trace_scope(&tracer);
+    ASSERT_TRUE(f.server->Write(std::move(set)).ok());
+  }
+  EXPECT_EQ(tracer.CountOf("tablet.put"), 1);
+  EXPECT_EQ(tracer.CountOf("log.append"), 1);
+
+  auto versions = f.server->GetVersions(f.uid, "k");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  EXPECT_EQ((*versions)[0].value, "third");
+  f.server->Crash();
+  ASSERT_TRUE(f.server->Start().ok());
+  auto replayed = f.server->GetVersions(f.uid, "k");
+  ASSERT_TRUE(replayed.ok());
+  ASSERT_EQ(replayed->size(), 1u);
+  EXPECT_EQ((*replayed)[0].value, "third");
+  EXPECT_EQ((*replayed)[0].timestamp, (*versions)[0].timestamp);
+}
 
 TEST(RecoveryTest, RestartWithoutCheckpointReplaysWholeLog) {
   ServerFixture f;

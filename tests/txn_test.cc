@@ -37,12 +37,14 @@ struct TxnFixture {
   std::unique_ptr<TransactionManager> manager;
   std::string uid0, uid1;  // tablets on server 0 and server 1
 
-  explicit TxnFixture(int num_servers = 2) {
+  /// `options[i]`, when given, configures server i.
+  explicit TxnFixture(int num_servers = 2,
+                      std::vector<TabletServerOptions> options = {}) {
+    options.resize(num_servers);
     for (int i = 0; i < num_servers; i++) {
-      TabletServerOptions options;
-      options.server_id = i;
+      options[i].server_id = i;
       servers.push_back(
-          std::make_unique<TabletServer>(options, &dfs, &coord));
+          std::make_unique<TabletServer>(options[i], &dfs, &coord));
       EXPECT_TRUE(servers.back()->Start().ok());
     }
     TabletDescriptor d0;
@@ -225,19 +227,18 @@ TEST(TxnTest, CommittedTransactionSurvivesCrashRecovery) {
 }
 
 TEST(TxnTest, CompactionDropsUncommittedTxnData) {
-  // Simulate a transaction that persisted data records but crashed before
-  // its COMMIT record: compaction must reclaim them.
+  // Simulate a transaction that persisted data records but whose
+  // coordinator died before any COMMIT record: compaction must reclaim them.
   TxnFixture f(1);
-  log::LogRecord orphan;
-  orphan.type = log::LogRecordType::kData;
-  orphan.key.table_id = 1;
-  orphan.key.tablet_id = 0;
-  orphan.txn_id = 999;  // no commit record will ever exist
-  orphan.row.primary_key = "orphan";
-  orphan.row.timestamp = 12345;
-  orphan.value = "ghost";
-  std::vector<log::LogRecord> batch{orphan};
-  ASSERT_TRUE(f.servers[0]->AppendBatch(&batch).ok());
+  tablet::WritePath* path = f.servers[0]->write_path();
+  tablet::WriteSet share;
+  share.txn_id = 999;  // no commit record will ever exist
+  share.commit_ts = 12345;
+  share.Put(f.uid0, "orphan", "ghost");
+  auto staged = path->Stage(std::move(share));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(path->MakeDurable(&*staged).ok());
+  path->Release(&*staged);
   ASSERT_TRUE(f.servers[0]->Put(f.uid0, "real", "v").ok());
 
   tablet::CompactionStats stats;
@@ -249,16 +250,14 @@ TEST(TxnTest, CompactionDropsUncommittedTxnData) {
 
 TEST(TxnTest, UncommittedTxnDataIgnoredByRecovery) {
   TxnFixture f(1);
-  log::LogRecord orphan;
-  orphan.type = log::LogRecordType::kData;
-  orphan.key.table_id = 1;
-  orphan.key.tablet_id = 0;
-  orphan.txn_id = 777;
-  orphan.row.primary_key = "phantom";
-  orphan.row.timestamp = 1;
-  orphan.value = "boo";
-  std::vector<log::LogRecord> batch{orphan};
-  ASSERT_TRUE(f.servers[0]->AppendBatch(&batch).ok());
+  tablet::WritePath* path = f.servers[0]->write_path();
+  tablet::WriteSet share;
+  share.txn_id = 777;
+  share.commit_ts = 1;
+  share.Put(f.uid0, "phantom", "boo");
+  auto staged = path->Stage(std::move(share));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(path->MakeDurable(&*staged).ok());
   f.servers[0]->Crash();
   ASSERT_TRUE(f.servers[0]->Start().ok());
   EXPECT_TRUE(f.servers[0]->Get(f.uid0, "phantom").status().IsNotFound());
@@ -415,6 +414,130 @@ TEST(TxnTest, PhaseOneFailureStaysInvisible) {
   ASSERT_TRUE(f.manager->Write(retry.get(), f.uid1, "live", "y2").ok());
   ASSERT_TRUE(f.manager->Commit(retry.get()).ok());
   EXPECT_EQ(f.servers[1]->Get(f.uid1, "live")->value, "y2");
+}
+
+// A COMMIT is never shed. Admission on participant 1 admits one op: the
+// share stages on it, and phase two's COMMITs pass the gate they no longer
+// go through, so the transaction commits on both participants and says so.
+TEST(TxnTest, ShedCommitNeverSplitsTransaction) {
+  std::vector<TabletServerOptions> options(2);
+  options[1].admission.enabled = true;
+  options[1].admission.server_limits.ops_per_sec = 0.001;
+  options[1].admission.server_limits.ops_burst = 1;
+  TxnFixture f(2, options);
+  auto txn = f.manager->Begin();
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid0, "a", "left").ok());
+  ASSERT_TRUE(f.manager->Write(txn.get(), f.uid1, "b", "right").ok());
+  const Status committed = f.manager->Commit(txn.get());
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
+
+  // LatestVersion bypasses admission, so the gated server can be read.
+  auto visible = [&f](int server, const std::string& uid, const char* key) {
+    auto version = f.servers[server]->LatestVersion(uid, key);
+    EXPECT_TRUE(version.ok());
+    return version.ok() && *version != 0;
+  };
+  EXPECT_EQ(visible(0, f.uid0, "a"), committed.ok());
+  EXPECT_EQ(visible(1, f.uid1, "b"), committed.ok());
+  for (auto& server : f.servers) {
+    server->Crash();
+    ASSERT_TRUE(server->Start().ok());
+  }
+  EXPECT_EQ(visible(0, f.uid0, "a"), committed.ok());
+  EXPECT_EQ(visible(1, f.uid1, "b"), committed.ok());
+}
+
+// A migration seal racing a commit never half-publishes it. The resolver
+// seals participant 1's tablet the first time commit routes to it; the
+// commit is then all-or-nothing on both participants, agrees with what
+// Commit returned, and stays so after both servers restart.
+TEST(TxnTest, SealDuringCommitNeverHalfPublishes) {
+  TxnFixture f;
+  bool armed = false;
+  TransactionManager manager(
+      &f.coord, /*client_node=*/0, [&f, &armed](const std::string& uid) {
+        TabletServer* owner = nullptr;
+        for (auto& server : f.servers) {
+          if (server->FindTablet(uid) != nullptr) owner = server.get();
+        }
+        if (armed && uid == f.uid1) {
+          armed = false;
+          EXPECT_TRUE(owner->SealTablet(uid).ok());
+        }
+        return owner;
+      });
+  auto txn = manager.Begin();
+  ASSERT_TRUE(manager.Write(txn.get(), f.uid0, "a", "left").ok());
+  ASSERT_TRUE(manager.Write(txn.get(), f.uid1, "b", "right").ok());
+  armed = true;
+  const Status committed = manager.Commit(txn.get());
+  EXPECT_FALSE(armed);
+
+  auto visible = [&f](int server, const std::string& uid, const char* key) {
+    return f.servers[server]->Get(uid, key).ok();
+  };
+  EXPECT_EQ(visible(0, f.uid0, "a"), committed.ok()) << committed.ToString();
+  EXPECT_EQ(visible(1, f.uid1, "b"), committed.ok()) << committed.ToString();
+  ASSERT_TRUE(f.servers[1]->UnsealTablet(f.uid1).ok());
+  for (auto& server : f.servers) {
+    server->Crash();
+    ASSERT_TRUE(server->Start().ok());
+  }
+  EXPECT_EQ(visible(0, f.uid0, "a"), committed.ok());
+  EXPECT_EQ(visible(1, f.uid1, "b"), committed.ok());
+}
+
+// A seal between a 2PC share's durability and its publication is refused,
+// so nothing can refuse the publication once the COMMIT is durable: the
+// share publishes and reads the same before and after a restart.
+TEST(TxnTest, SealBetweenPhasesIsRefused) {
+  TxnFixture f(1);
+  tablet::WritePath* path = f.servers[0]->write_path();
+  tablet::WriteSet share;
+  share.txn_id = 4343;
+  share.commit_ts = f.coord.ReserveTimestamps(0, 1);
+  share.Put(f.uid0, "k", "v");
+  auto staged = path->Stage(std::move(share));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(path->MakeDurable(&*staged).ok());
+  EXPECT_TRUE(f.servers[0]->SealTablet(f.uid0).IsBusy());
+  ASSERT_TRUE(path->AppendCommit(4343, staged->set.commit_ts,
+                                 log::AckMode::kQuorum)
+                  .ok());
+  ASSERT_TRUE(path->Publish(&*staged).ok());
+  EXPECT_EQ(f.servers[0]->Get(f.uid0, "k")->value, "v");
+  ASSERT_TRUE(f.servers[0]->SealTablet(f.uid0).ok());
+  ASSERT_TRUE(f.servers[0]->UnsealTablet(f.uid0).ok());
+  f.servers[0]->Crash();
+  ASSERT_TRUE(f.servers[0]->Start().ok());
+  auto got = f.servers[0]->Get(f.uid0, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, "v");
+}
+
+// A checkpoint between a 2PC share's data records and its COMMIT keeps the
+// share: redo starts at or before the data, so replay meets the COMMIT with
+// the data in hand.
+TEST(TxnTest, CheckpointBetweenPhasesKeepsTheShare) {
+  TxnFixture f(1);
+  tablet::WritePath* path = f.servers[0]->write_path();
+  tablet::WriteSet share;
+  share.txn_id = 4242;
+  share.commit_ts = f.coord.ReserveTimestamps(0, 1);
+  share.Put(f.uid0, "k", "v");
+  auto staged = path->Stage(std::move(share));
+  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(path->MakeDurable(&*staged).ok());
+  ASSERT_TRUE(f.servers[0]->Checkpoint().ok());
+  ASSERT_TRUE(path->AppendCommit(4242, staged->set.commit_ts,
+                                 log::AckMode::kQuorum)
+                  .ok());
+  ASSERT_TRUE(path->Publish(&*staged).ok());
+  f.servers[0]->Crash();
+  ASSERT_TRUE(f.servers[0]->Start().ok());
+  auto got = f.servers[0]->Get(f.uid0, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, "v");
 }
 
 // Four clients, each with its own TransactionManager and session, run
